@@ -27,8 +27,10 @@ def format_engine_footer(engine_stats: Mapping[str, object],
     ``Engine.stats()`` (cache counters plus backend name); ``stage_stats``
     is the plan cache's :meth:`~repro.engine.cache.SolutionCache.stats`;
     ``sim_stats`` is :func:`repro.simulator.engine_counters` (fill rounds
-    and completion events processed by the fluid engine), so sweep/report
-    runs expose simulation cost the same way they expose LP cost.
+    and completion events processed by the fluid engine, and how many
+    simulations ran — one per schedule, fabric and overlap, however many
+    buffer sizes it serves), so sweep/report runs expose simulation cost
+    the same way they expose LP cost.
     ``executor_stats`` is the ``to_dict()`` of an
     :class:`~repro.experiments.executor.ExecutorStats` — multiprocess sweep
     accounting (per-worker completed counts, steals, shared-artifact
@@ -46,7 +48,8 @@ def format_engine_footer(engine_stats: Mapping[str, object],
                  f"{engine_stats.get('basis_misses', 0)} cold")
     if sim_stats is not None:
         line += (f"; sim: {sim_stats['fill_rounds']} fill rounds / "
-                 f"{sim_stats['events']} events")
+                 f"{sim_stats['events']} events / "
+                 f"{sim_stats.get('simulations', 0)} simulations")
         kernel = sim_stats.get("kernel")
         if kernel:
             line += (f" [kernel={kernel}, "

@@ -28,6 +28,18 @@ SIM_BYTES_EPS
     spin the event loop.  Shared by the vectorized engine and the scalar
     reference simulator so their completion times stay comparable.
 
+SIM_REFERENCE_SHARD_BYTES
+    Shard size at which a schedule's buffer-free collective profile
+    (:mod:`repro.simulator.collective`) is simulated before its transfer
+    times are rescaled to each buffer.  Rates never read byte counts, so
+    transfer times are homogeneous in the shard size, but the absolute
+    ``SIM_BYTES_EPS`` completion window is not: with few-byte flows it
+    merges near-simultaneous completions (a 1-byte reference changes the
+    fill rounds), and with flows of ~2^30 bytes round-off outgrows it.  A
+    fixed power of two between those extremes reproduces per-buffer runs
+    with identical fill rounds and events, and makes the rescale factor
+    exact in the exponent.
+
 SCHEDULE_TOL
     Coverage tolerance for schedule validation: a commodity counts as fully
     covered when its chunk assignments sum to at least ``1 - SCHEDULE_TOL``.
@@ -37,12 +49,15 @@ SCHEDULE_TOL
 
 from __future__ import annotations
 
-__all__ = ["FLOW_TOL", "SIM_EPS", "SIM_BYTES_EPS", "SCHEDULE_TOL"]
+__all__ = ["FLOW_TOL", "SIM_EPS", "SIM_BYTES_EPS",
+           "SIM_REFERENCE_SHARD_BYTES", "SCHEDULE_TOL"]
 
 FLOW_TOL = 1e-9
 
 SIM_EPS = 1e-12
 
 SIM_BYTES_EPS = 1e-6
+
+SIM_REFERENCE_SHARD_BYTES = float(2 ** 20)
 
 SCHEDULE_TOL = 1e-6

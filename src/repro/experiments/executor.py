@@ -295,12 +295,14 @@ def hot_stage_keys(scenarios: Sequence[Scenario]) -> Set[str]:
 
     These are exactly the artifacts worth sharing across workers: e.g. the
     synthesized schedule of a hot ``(topology, scheme)`` pair that a grid
-    sweeps over many fabrics/overlaps/buffer sets.  Scenario hashing failures
-    (bad specs) are skipped — those scenarios produce error records instead.
+    sweeps over many fabrics/overlaps/buffer sets, or the buffer-free
+    collective profile two buffer points of one schedule simulate once.
+    Scenario hashing failures (bad specs) are skipped — those scenarios
+    produce error records instead.
     """
     counts: Dict[str, int] = {}
     for scenario in scenarios:
-        for stage in STAGES:
+        for stage in STAGES + ("profile",):
             try:
                 key = scenario.stage_key(stage)
             except Exception:  # noqa: BLE001 - bad spec errors at execution

@@ -10,7 +10,11 @@ through the paper's Fig. 1 pipeline as explicit stages:
    :class:`RoutedSchedule`); schemes that already emit IR pass through;
 3. **validate** — run the IR validators once (simulation then skips them);
 4. **simulate** — execute the schedule on the scenario's fabric across its
-   buffer sweep.
+   buffer sweep: one buffer-free
+   :class:`~repro.simulator.collective.CollectiveProfile`, cached under the
+   ``profile`` key (the ``lower`` fields plus fabric and overlap, no
+   buffers), rescaled to each buffer.  Faulted and cluster runs simulate
+   per buffer, since absolute fault-epoch and compute times do not scale.
 
 Each stage's artifact is cached under the scenario's
 :meth:`~repro.experiments.scenario.Scenario.stage_key` in a process-wide
@@ -29,7 +33,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.mcf_path import PathSchedule
 from ..core.mcf_timestepped import TimeSteppedFlow
@@ -42,7 +46,7 @@ from ..schedule import (
     validate_link_schedule,
     validate_routed_schedule,
 )
-from ..simulator import CollectiveResult, throughput_sweep
+from ..simulator import CollectiveResult, collective_profile
 from .scenario import STAGES, Scenario, resolve_scheme
 
 __all__ = ["Plan", "PlanResult", "get_plan_cache", "configure_plan_cache",
@@ -199,26 +203,27 @@ class Plan:
     def _ensure_stage(self, stage: str) -> None:
         if stage in self.result.stage_seconds:
             return
-        key = self.scenario.stage_key(stage)
         start = time.perf_counter()
-        if not self.cache.enabled:
-            self._install(stage, self._compute(stage))
-            self.result.stage_cache[stage] = "off"
-        else:
-            # Single-flight per stage key: concurrent scenarios that share an
-            # artifact (e.g. same schedule, different buffers) wait for the
-            # first computation instead of duplicating the LP solve.
-            with _inflight_lock(key):
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self._install(stage, cached)
-                    self.result.stage_cache[stage] = "hit"
-                else:
-                    artifact = self._compute(stage)
-                    self._install(stage, artifact)
-                    self.result.stage_cache[stage] = "miss"
-                    self.cache.put(key, artifact)
+        artifact, status = self._cached(self.scenario.stage_key(stage),
+                                        lambda: self._compute(stage))
+        self._install(stage, artifact)
+        self.result.stage_cache[stage] = status
         self.result.stage_seconds[stage] = time.perf_counter() - start
+
+    def _cached(self, key: str, compute: Callable[[], object]) -> Tuple[object, str]:
+        """The artifact under ``key`` and whether it was a hit, miss or off."""
+        if not self.cache.enabled:
+            return compute(), "off"
+        # Single-flight per key: concurrent scenarios that share an artifact
+        # (e.g. same schedule, different buffers) wait for the first
+        # computation instead of duplicating the LP solve or simulation.
+        with _inflight_lock(key):
+            cached = self.cache.get(key)
+            if cached is not None:
+                return cached, "hit"
+            artifact = compute()
+            self.cache.put(key, artifact)
+            return artifact, "miss"
 
     def _compute(self, stage: str) -> object:
         scenario = self.scenario
@@ -261,10 +266,14 @@ class Plan:
                                      scenario.faults,
                                      fabric=scenario.resolved_fabric(),
                                      validate_first=False)
-        return throughput_sweep(self.result.lowered, list(scenario.buffers),
-                                fabric=scenario.resolved_fabric(),
-                                validate_first=False,
-                                overlap=scenario.overlap)
+        # One buffer-free simulation serves every buffer of every scenario
+        # that shares the schedule, fabric and overlap.
+        profile, _ = self._cached(
+            scenario.stage_key("profile"),
+            lambda: collective_profile(self.result.lowered,
+                                       scenario.resolved_fabric(),
+                                       overlap=scenario.overlap))
+        return [profile.at(buf) for buf in scenario.buffers]
 
     def _install(self, stage: str, artifact: object) -> None:
         from ..cluster import ClusterResult  # lazy: cluster imports simulator

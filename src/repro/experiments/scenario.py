@@ -188,6 +188,10 @@ _STAGE_FIELDS["lower"] = _STAGE_FIELDS["synthesize"] + ("max_denominator",)
 _STAGE_FIELDS["validate"] = _STAGE_FIELDS["lower"]
 _STAGE_FIELDS["simulate"] = _STAGE_FIELDS["lower"] + ("fabric", "buffers", "overlap",
                                                      "cluster", "faults")
+#: Buffer-free key of a schedule's simulated collective profile
+#: (:func:`repro.simulator.collective_profile`): every plain simulate stage
+#: of one schedule, fabric and overlap shares it, whatever its buffers.
+_STAGE_FIELDS["profile"] = _STAGE_FIELDS["lower"] + ("fabric", "overlap")
 
 _SUPPORTED_WORKLOADS = ("alltoall",)
 
@@ -380,9 +384,12 @@ class Scenario:
     def stage_key(self, stage: str) -> str:
         """Content digest of the fields the given stage depends on.
 
-        Stable across processes and construction styles: the topology enters
-        via its canonical hash, mappings are order-canonicalized, and the
-        scenario schema version guards against layout changes.
+        ``stage`` is one of :data:`STAGES`, or ``"profile"``: the simulate
+        stage's buffer-free key, under which plain (fault- and cluster-free)
+        runs share one simulated collective profile.  Stable across
+        processes and construction styles: the topology enters via its
+        canonical hash, mappings are order-canonicalized, and the scenario
+        schema version guards against layout changes.
         """
         if stage not in _STAGE_FIELDS:
             raise KeyError(f"unknown stage {stage!r}; stages: {STAGES}")

@@ -1,14 +1,17 @@
 """Direct-connect fabric simulator (the testbed substitute).
 
 All regimes share one vectorized, event-driven fluid core
-(:mod:`repro.simulator.engine`); :mod:`.flowsim`, :mod:`.stepsim` and
-:mod:`.collective` are thin front-ends that lower their schedules to the
-engine's flow IR.  :mod:`.reference` keeps the scalar implementation as a
+(:mod:`repro.simulator.engine`); :mod:`.flowsim` and :mod:`.collective`
+are thin front-ends that lower their schedules to the engine's flow IR
+(:mod:`.collective` simulates each schedule once and rescales the result to
+every buffer size).  :mod:`.reference` keeps the scalar implementation as a
 differential-testing oracle.
 """
 
 from .collective import (
+    CollectiveProfile,
     CollectiveResult,
+    collective_profile,
     run_link_collective,
     run_routed_collective,
     throughput_sweep,
@@ -46,10 +49,11 @@ from .fabric import (
 )
 from .flowsim import FlowSimResult, FluidFlow, simulate_flows
 from .reference import simulate_flows_reference
-from .stepsim import StepSimResult, simulate_link_schedule
 
 __all__ = [
+    "CollectiveProfile",
     "CollectiveResult",
+    "collective_profile",
     "run_link_collective",
     "run_routed_collective",
     "throughput_sweep",
@@ -83,6 +87,4 @@ __all__ = [
     "FluidFlow",
     "simulate_flows",
     "simulate_flows_reference",
-    "StepSimResult",
-    "simulate_link_schedule",
 ]

@@ -1,9 +1,8 @@
 """Unified vectorized fluid simulation engine: one core for all regimes.
 
-Every simulation regime in :mod:`repro.simulator` — cut-through path
-schedules (:mod:`.flowsim`), stepped link schedules (:mod:`.stepsim`) and
-whole collectives (:mod:`.collective`) — lowers to the same flow IR and runs
-on this engine:
+Every simulation regime in :mod:`repro.simulator` — cut-through flow sets
+(:mod:`.flowsim`) and whole collectives, routed or stepped
+(:mod:`.collective`) — lowers to the same flow IR and runs on this engine:
 
 1. **compile** — :func:`compile_flows` turns a flow set into a
    :class:`FlowProgram`: flows, links, injection caps and forwarding caps

@@ -238,6 +238,18 @@ class TestSharedArtifactPlane:
         assert scenario.stage_key("synthesize") in hot
         assert scenario.stage_key("simulate") not in hot
 
+    def test_hot_stage_keys_share_profile_across_buffers(self):
+        grid = SweepGrid(base={"topology": "hypercube:dim=2", "scheme": "ewsp"},
+                         axes={"buffers": [[2 ** 20], [2 ** 24]]})
+        first, second = grid.scenarios()
+        hot = hot_stage_keys([first, second])
+        # Two buffer points of one schedule: distinct simulate keys, one
+        # buffer-free profile, which the plane may then publish.
+        assert first.stage_key("simulate") != second.stage_key("simulate")
+        assert first.stage_key("profile") == second.stage_key("profile")
+        assert first.stage_key("profile") in hot
+        assert first.stage_key("simulate") not in hot
+
 
 class TestRunSweepWorkers:
     def test_workers_match_serial_and_threads_canonically(self, tmp_path):

@@ -24,10 +24,10 @@ from repro.simulator import (
     parse_link_scales,
     parse_link_set,
     reset_engine_counters,
+    run_link_collective,
     run_routed_collective,
     simulate_flows,
     simulate_flows_reference,
-    simulate_link_schedule,
     simulate_program,
 )
 from repro.topology import from_spec, hypercube, ring
@@ -353,9 +353,9 @@ class TestStepSimEdgeCases:
         schedule = LinkSchedule(topo, 1, [LinkSendOp(Chunk(0, 1, 0.0, 1.0), 0, 1, 1)])
         fabric = FabricModel(link_bandwidth=100.0, per_step_latency=0.0,
                              per_message_overhead=0.0, nic_forwarding=False)
-        res = simulate_link_schedule(schedule, shard_bytes=200.0, fabric=fabric)
-        assert res.total_time == pytest.approx(2.0)
-        assert res.fill_rounds >= 1
+        res = run_link_collective(schedule, 3 * 200.0, fabric=fabric, validate=False)
+        assert res.completion_time == pytest.approx(2.0)
+        assert res.meta["fill_rounds"] >= 1
 
     def test_zero_byte_step_costs_latency_only(self):
         from repro.schedule import Chunk, LinkSchedule, LinkSendOp
@@ -365,8 +365,8 @@ class TestStepSimEdgeCases:
         schedule = LinkSchedule(topo, 1, [LinkSendOp(Chunk(0, 1, 0.0, 1.0), 0, 1, 1)])
         fabric = FabricModel(link_bandwidth=100.0, per_step_latency=0.5,
                              per_message_overhead=0.25, nic_forwarding=False)
-        res = simulate_link_schedule(schedule, shard_bytes=0.0, fabric=fabric)
-        assert res.total_time == pytest.approx(0.75)
+        res = run_link_collective(schedule, 3 * 0.0, fabric=fabric, validate=False)
+        assert res.completion_time == pytest.approx(0.75)
 
     def test_empty_step_contributes_nothing(self):
         from repro.schedule import Chunk, LinkSchedule, LinkSendOp
@@ -375,9 +375,9 @@ class TestStepSimEdgeCases:
         schedule = LinkSchedule(topo, 2, [LinkSendOp(Chunk(0, 1, 0.0, 1.0), 0, 1, 2)])
         fabric = FabricModel(link_bandwidth=100.0, per_step_latency=0.5,
                              per_message_overhead=0.0, nic_forwarding=False)
-        res = simulate_link_schedule(schedule, shard_bytes=100.0, fabric=fabric)
-        assert res.step_times[0] == 0.0
-        assert res.step_times[1] == pytest.approx(1.5)
+        res = run_link_collective(schedule, 3 * 100.0, fabric=fabric, validate=False)
+        assert res.meta["step_times"][0] == 0.0
+        assert res.meta["step_times"][1] == pytest.approx(1.5)
 
     def test_down_link_in_schedule_rejected(self):
         from repro.schedule import Chunk, LinkSchedule, LinkSendOp
@@ -386,7 +386,7 @@ class TestStepSimEdgeCases:
         schedule = LinkSchedule(topo, 1, [LinkSendOp(Chunk(0, 1, 0.0, 1.0), 0, 1, 1)])
         fabric = FabricModel(nic_forwarding=False).degrade(down_links=((0, 1),))
         with pytest.raises(ValueError, match="down link"):
-            simulate_link_schedule(schedule, shard_bytes=100.0, fabric=fabric)
+            run_link_collective(schedule, 3 * 100.0, fabric=fabric, validate=False)
 
     def test_overlap_doubles_step_time(self):
         from repro.schedule import Chunk, LinkSchedule, LinkSendOp
@@ -395,9 +395,9 @@ class TestStepSimEdgeCases:
         schedule = LinkSchedule(topo, 1, [LinkSendOp(Chunk(0, 1, 0.0, 1.0), 0, 1, 1)])
         fabric = FabricModel(link_bandwidth=100.0, per_step_latency=0.0,
                              per_message_overhead=0.0, nic_forwarding=False)
-        one = simulate_link_schedule(schedule, 100.0, fabric, overlap=1)
-        two = simulate_link_schedule(schedule, 100.0, fabric, overlap=2)
-        assert two.total_time == pytest.approx(2 * one.total_time)
+        one = run_link_collective(schedule, 3 * 100.0, fabric, validate=False, overlap=1)
+        two = run_link_collective(schedule, 3 * 100.0, fabric, validate=False, overlap=2)
+        assert two.completion_time == pytest.approx(2 * one.completion_time)
 
 
 class TestGoldenPanels:

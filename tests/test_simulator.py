@@ -15,7 +15,6 @@ from repro.simulator import (
     run_link_collective,
     run_routed_collective,
     simulate_flows,
-    simulate_link_schedule,
     steady_state_throughput,
     throughput_sweep,
     throughput_upper_bound_curve,
@@ -158,31 +157,33 @@ class TestStepSimulator:
         schedule = self._two_step_schedule()
         fabric = FabricModel(link_bandwidth=100.0, per_step_latency=0.0,
                              per_message_overhead=0.0, nic_forwarding=False)
-        res = simulate_link_schedule(schedule, shard_bytes=100.0, fabric=fabric)
+        res = run_link_collective(schedule, 3 * 100.0, fabric=fabric, validate=False)
         # Step 1: each link carries 2 shards -> 2s; step 2: 1 shard -> 1s.
-        assert res.step_times == pytest.approx([2.0, 1.0])
-        assert res.total_time == pytest.approx(3.0)
+        assert res.meta["step_times"] == pytest.approx([2.0, 1.0])
+        assert res.completion_time == pytest.approx(3.0)
 
     def test_per_step_latency_added(self):
         schedule = self._two_step_schedule()
         fabric = FabricModel(link_bandwidth=100.0, per_step_latency=0.5,
                              per_message_overhead=0.0, nic_forwarding=False)
-        res = simulate_link_schedule(schedule, shard_bytes=100.0, fabric=fabric)
-        assert res.total_time == pytest.approx(4.0)
+        res = run_link_collective(schedule, 3 * 100.0, fabric=fabric, validate=False)
+        assert res.completion_time == pytest.approx(4.0)
 
     def test_algorithm_bandwidth(self):
         schedule = self._two_step_schedule()
         fabric = FabricModel(link_bandwidth=100.0, per_step_latency=0.0,
                              per_message_overhead=0.0, nic_forwarding=False)
-        res = simulate_link_schedule(schedule, shard_bytes=100.0, fabric=fabric)
-        assert res.algorithm_bandwidth == pytest.approx(2 * 100.0 / 3.0)
+        res = run_link_collective(schedule, 3 * 100.0, fabric=fabric, validate=False)
+        assert res.throughput == pytest.approx(2 * 100.0 / 3.0)
 
     def test_channels_reduce_overhead_only(self):
         schedule = self._two_step_schedule()
         fabric = FabricModel(link_bandwidth=100.0, per_step_latency=0.0,
                              per_message_overhead=1.0, nic_forwarding=False)
-        one = simulate_link_schedule(schedule, 100.0, fabric, num_channels=1).total_time
-        two = simulate_link_schedule(schedule, 100.0, fabric, num_channels=2).total_time
+        one = run_link_collective(schedule, 3 * 100.0, fabric, validate=False,
+                                  num_channels=1).completion_time
+        two = run_link_collective(schedule, 3 * 100.0, fabric, validate=False,
+                                  num_channels=2).completion_time
         assert two < one
 
 
