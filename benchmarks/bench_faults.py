@@ -22,8 +22,8 @@ Asserted acceptance gates:
   recompiled survivor programs);
 * the serial and ``jobs=4`` adversarial searches return identical
   evaluation tables (order-preserving merge);
-* the delta engine is at least 3x faster than ``REPRO_DELTA=off`` on both
-  legs.
+* the delta engine is at least 3x faster than the recompile oracle
+  (``tests/oracles/recompile.py``) on both legs.
 
 Machine-readable output lands in ``results/BENCH_faults.json``
 (``objective`` is the deterministic faulted completion time / worst
@@ -31,13 +31,17 @@ slowdown).  The CI ``perf-kernels`` job uploads it and gates it against
 ``benchmarks/baseline_faults.json`` via ``check_regression.py``.
 """
 
+import sys
 import time
+from pathlib import Path
 
 from repro.analysis import format_table
 from repro.experiments import Plan, Scenario
 from repro.faults import PreparedFaultContext, run_faulted, worst_case_failures
-from repro.perf import set_delta_enabled
 from repro.simulator import fabric_from_spec
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles.recompile import recompile_oracle, run_faulted_recompile  # noqa: E402
 
 MIN_DELTA_SPEEDUP = 3.0
 FLAP_EPOCHS = 20          # down+up pairs -> 40 fabric events
@@ -78,9 +82,9 @@ def test_faulted_delta_throughput(record, record_json, scale):
     context = PreparedFaultContext(lowered, fabric)
     num_flows = context.num_flows
 
-    def faulted():
-        return run_faulted(lowered, BUFFER, spec, fabric=fabric,
-                           validate=False, context=context)
+    def faulted(run=run_faulted):
+        return run(lowered, BUFFER, spec, fabric=fabric,
+                   validate=False, context=context)
 
     def adversarial(jobs=1):
         return worst_case_failures(lowered, BUFFER, k=1, fabric=fabric,
@@ -88,16 +92,12 @@ def test_faulted_delta_throughput(record, record_json, scale):
                                    mode="exhaustive", jobs=jobs,
                                    context=context)
 
-    try:
-        set_delta_enabled(True)
-        run_delta, run_delta_s = _best_of(faulted)
-        adv_delta, adv_delta_s = _best_of(adversarial)
-        adv_jobs = adversarial(jobs=4)
-        set_delta_enabled(False)
-        run_oracle, run_oracle_s = _best_of(faulted)
+    run_delta, run_delta_s = _best_of(faulted)
+    adv_delta, adv_delta_s = _best_of(adversarial)
+    adv_jobs = adversarial(jobs=4)
+    run_oracle, run_oracle_s = _best_of(lambda: faulted(run_faulted_recompile))
+    with recompile_oracle():
         adv_oracle, adv_oracle_s = _best_of(adversarial)
-    finally:
-        set_delta_enabled(None)
 
     # Exact agreement between the delta engine and the recompile oracle.
     assert run_delta.completion_time == run_oracle.completion_time
@@ -135,9 +135,9 @@ def test_faulted_delta_throughput(record, record_json, scale):
     record_json("faults", series)
     record("faults", format_table(
         ["mode", "faulted run (s)", "adversarial (s)", "speedup"],
-        [["delta (REPRO_DELTA=on)", run_delta_s, adv_delta_s,
+        [["delta", run_delta_s, adv_delta_s,
           f"{run_speedup:.1f}x / {adv_speedup:.1f}x"],
-         ["oracle (REPRO_DELTA=off)", run_oracle_s, adv_oracle_s, "1.0x"]],
+         ["recompile oracle", run_oracle_s, adv_oracle_s, "1.0x"]],
         title=(f"Faulted simulation: {num_flows}-flow ewsp on {topology}, "
                f"{2 * FLAP_EPOCHS}-epoch flap + k=1 adversarial "
                f"({ADV_CANDIDATES} candidates), worst slowdown "

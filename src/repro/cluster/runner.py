@@ -3,10 +3,11 @@
 :func:`run_cluster` executes a trace of jobs — each a barrier-separated
 sequence of compute and all-to-all comm phases — over one synthesized
 routed schedule, with every live comm phase's flows max-min fair sharing
-the fabric.  Arrivals, phase barriers and flow completions all advance
-through the engine's :class:`~repro.simulator.events.EventQueue`; flow
-sets are injected and retired at event boundaries with incremental
-re-fills over the survivors (see :mod:`.injector`).
+the fabric.  The trace is an event source for the shared
+:class:`~repro.simulator.engine.FluidDriver`: arrivals and phase barriers
+are events on the driver's queue, a comm phase injects its flow set into
+the driver's :class:`~repro.perf.delta.DeltaProgram`, and the driver's
+retirement callback closes the set when its last flow completes.
 
 Reported metrics:
 
@@ -24,16 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
-from ..constants import SIM_BYTES_EPS, SIM_EPS
+from ..perf.delta import DeltaProgram
 from ..schedule.ir import LinkSchedule, RoutedSchedule
 from ..schedule.validate import validate_routed_schedule
-from ..simulator.engine import (FluidFlow, compile_flows, execute,
-                                record_simulation)
-from ..simulator.events import EventQueue
+from ..simulator.engine import FluidDriver, FluidFlow, compile_flows, execute
 from ..simulator.fabric import FabricModel
-from .injector import FlowInjector
 from .job import CommPhase, ComputePhase, jobs_from_spec
 from .placement import place_route, placement_permutation
 from .trace import ClusterSpec, parse_cluster_spec
@@ -81,9 +77,16 @@ class ClusterResult:
         return [j.slowdown for j in self.jobs]
 
 
-def _isolated_comm_seconds(topology, flows, fabric) -> float:
-    """Completion time of one comm phase run alone (engine differential)."""
-    return execute(compile_flows(topology, flows, fabric)).completion_time
+def _isolated_comm(topology, flows, fabric) -> Tuple[float, float]:
+    """One comm phase run alone: completion seconds and link-byte load.
+
+    The completion time is the engine differential behind the slowdown
+    metric; the load (bytes x links crossed) feeds fabric utilization.
+    """
+    program = compile_flows(topology, flows, fabric)
+    on_links = program.inc_res < len(topology.edges)
+    link_bytes = float(program.sizes[program.inc_flow[on_links]].sum())
+    return execute(program).completion_time, link_bytes
 
 
 def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
@@ -116,10 +119,11 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
     jobs = jobs_from_spec(spec, default_buffer=default_buffer)
 
     # Placed flow template per job (route, bytes), reused every round, and
-    # the per-job isolated comm time (cached per distinct placement).
+    # the per-job isolated comm time and link load (cached per distinct
+    # placement).
     templates: Dict[int, List[Tuple[Tuple[int, ...], float]]] = {}
-    isolated_comm: Dict[int, float] = {}
-    iso_cache: Dict[Tuple[Tuple[int, ...], float], float] = {}
+    isolated: Dict[int, Tuple[float, float]] = {}
+    iso_cache: Dict[Tuple[Tuple[int, ...], float], Tuple[float, float]] = {}
     for job in jobs:
         perm = placement_permutation(spec.placement, job.job_id, n,
                                      spec.jobs, spec.seed)
@@ -133,14 +137,9 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
         if key not in iso_cache:
             flows = [FluidFlow(path=path, size_bytes=size)
                      for path, size in template]
-            iso_cache[key] = _isolated_comm_seconds(topology, flows, fabric)
-        isolated_comm[job.job_id] = iso_cache[key]
+            iso_cache[key] = _isolated_comm(topology, flows, fabric)
+        isolated[job.job_id] = iso_cache[key]
 
-    queue = EventQueue()
-    injector = FlowInjector(topology, fabric)
-    state: Dict[str, object] = {"last": 0.0, "rates": np.zeros(0),
-                                "fill_rounds": 0, "pending": None,
-                                "edge_mask": None}
     job_by_id = {job.job_id: job for job in jobs}
     phase_index = {job.job_id: 0 for job in jobs}
     comm_round = {job.job_id: 0 for job in jobs}
@@ -148,72 +147,33 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
     finish: Dict[int, float] = {}
     # set id -> [job_id, flows outstanding, max completion time seen]
     set_state: Dict[int, List[object]] = {}
+    link_bytes = 0.0              # bytes x links crossed, over every injection
 
-    def _advance() -> None:
-        """Integrate the current rates from the last fill time to now."""
-        dt = queue.now - state["last"]
-        if dt > 0 and injector.num_flows:
-            injector.advance(state["rates"], dt)
-        state["last"] = queue.now
-
-    def _refill() -> None:
-        """Re-fill over the surviving flows; (re)schedule the next edge."""
-        pending = state["pending"]
-        if pending is not None:
-            pending.cancel()
-            state["pending"] = None
-        state["last"] = queue.now
-        if injector.num_flows == 0:
-            state["rates"] = np.zeros(0)
-            state["edge_mask"] = None
-            return
-        rates, rounds = injector.fill()
-        state["rates"] = rates
-        state["fill_rounds"] = int(state["fill_rounds"]) + rounds
-        eligible = rates > SIM_EPS
-        if not eligible.any():
-            raise RuntimeError(
-                "cluster simulation stalled: live flows have zero rate")
-        dt = max(0.0, float(np.min(
-            injector.remaining[eligible] / rates[eligible])))
-        # Flows whose analytic finish lands on this edge.  They are forced
-        # done when the edge fires: if ``now + dt == now`` in floats (late
-        # arrival, sub-ulp dt), time cannot advance past the edge and the
-        # residual bytes would respawn the same edge forever.
-        state["edge_mask"] = eligible & (
-            injector.remaining <= rates * (dt * (1.0 + 1e-12)) + SIM_BYTES_EPS)
-        state["pending"] = queue.schedule(dt, _on_transfer_edge)
-
-    def _drain_retired() -> None:
-        """Retire drained flows; finish comm phases whose set is empty."""
-        for set_id, delay in injector.retire():
-            entry = set_state[set_id]
+    def _on_retire(ids) -> None:
+        """Close the comm phases whose last flow just completed."""
+        set_ids = driver.delta.set_ids
+        for i in ids:
+            entry = set_state[int(set_ids[i])]
             entry[1] = int(entry[1]) - 1
-            entry[2] = max(float(entry[2]), queue.now + delay)
+            entry[2] = max(float(entry[2]), float(driver.completion[i]))
             if entry[1] == 0:
                 job_id = int(entry[0])
                 queue.schedule_at(
                     float(entry[2]),
                     lambda job_id=job_id: _phase_done(job_id))
 
-    def _on_transfer_edge() -> None:
-        """A flow ran dry: retire completions, then re-fill the survivors."""
-        state["pending"] = None
-        _advance()
-        if state["edge_mask"] is not None:
-            injector.force_finish(state["edge_mask"])
-            state["edge_mask"] = None
-        _drain_retired()
-        _refill()
+    driver = FluidDriver(DeltaProgram(topology, fabric), on_retire=_on_retire)
+    queue = driver.queue
 
     def _phase_done(job_id: int) -> None:
         """Barrier: close the job's running phase and start the next one."""
-        _advance()
+        driver.advance()
         spans[job_id][-1][2] = queue.now
         _start_next_phase(job_id)
 
     def _start_next_phase(job_id: int) -> None:
         """Start the job's next phase, or record its finish time."""
+        nonlocal link_bytes
         job = job_by_id[job_id]
         index = phase_index[job_id]
         if index >= len(job.phases):
@@ -231,24 +191,22 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
         comm_round[job_id] = round_id + 1
         flows = [FluidFlow(path=path, size_bytes=size, tag=(job_id, round_id))
                  for path, size in templates[job_id]]
-        set_id = injector.inject(flows, name=f"job{job_id}/round{round_id}")
+        set_id = driver.inject(flows, name=f"job{job_id}/round{round_id}")
         set_state[set_id] = [job_id, len(flows), queue.now]
-        _drain_retired()        # zero-byte flows complete at injection
-        _refill()
+        link_bytes += isolated[job_id][1]
+        driver.advance()        # zero-byte flows complete at injection
+        driver.refill()
 
     def _on_arrival(job_id: int) -> None:
         """A job arrives: advance the fluid state and start its first phase."""
-        _advance()
+        driver.advance()
         _start_next_phase(job_id)
 
     for job in jobs:
         queue.schedule_at(job.arrival,
                           lambda job_id=job.job_id: _on_arrival(job_id))
 
-    try:
-        queue.run(max_events=max_events)
-    except RuntimeError as exc:
-        raise RuntimeError("cluster simulation did not converge") from exc
+    driver.run(max_events=max_events)
     if len(finish) != len(jobs):
         missing = sorted(set(job_by_id) - set(finish))
         raise RuntimeError(
@@ -258,16 +216,16 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
     job_results: List[JobResult] = []
     for job in jobs:
         done = finish[job.job_id]
-        isolated = (spec.rounds * spec.compute
-                    + spec.rounds * isolated_comm[job.job_id])
+        alone = (spec.rounds * spec.compute
+                 + spec.rounds * isolated[job.job_id][0])
         elapsed = done - job.arrival
-        slowdown = elapsed / isolated if isolated > 0 else 1.0
+        slowdown = elapsed / alone if alone > 0 else 1.0
         job_results.append(JobResult(
             job_id=job.job_id,
             name=job.name,
             arrival=job.arrival,
             finish=done,
-            isolated_seconds=isolated,
+            isolated_seconds=alone,
             slowdown=slowdown,
             phase_spans=tuple((str(kind), float(start), float(end))
                               for kind, start, end in spans[job.job_id]),
@@ -275,17 +233,15 @@ def run_cluster(schedule: Union[RoutedSchedule, LinkSchedule],
 
     first_arrival = min(job.arrival for job in jobs)
     makespan = max(finish.values()) - first_arrival
-    capacity = injector.link_capacity_total
-    utilization = (injector.link_bytes / (capacity * makespan)
+    capacity = float(driver.delta.res_cap[:len(topology.edges)].sum())
+    utilization = (link_bytes / (capacity * makespan)
                    if makespan > 0 and capacity > 0 else 0.0)
-    fill_rounds = int(state["fill_rounds"])
-    record_simulation(fill_rounds, queue.processed)
     return ClusterResult(
         jobs=job_results,
         makespan_seconds=makespan,
         fabric_utilization=utilization,
-        fill_rounds=fill_rounds,
-        events=queue.processed,
+        fill_rounds=driver.fill_rounds,
+        events=driver.events,
         meta={
             "spec": spec.canonical(),
             "placement": spec.placement,

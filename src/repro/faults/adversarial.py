@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engine.runner import ParallelRunner
-from ..perf.delta import delta_enabled
 from ..schedule.ir import RoutedSchedule
 from ..simulator.collective import run_routed_collective
 from ..simulator.fabric import FabricModel
@@ -154,7 +153,7 @@ def worst_case_failures(schedule: RoutedSchedule, buffer_bytes: float,
     # Every candidate evolves identically until the strike instant: simulate
     # that healthy prefix once and resume each evaluation from the snapshot.
     prefix = None
-    if delta_enabled() and context.num_flows and at_seconds > 0:
+    if context.num_flows and at_seconds > 0:
         prefix = capture_fault_prefix(
             context, buffer_bytes, at_seconds,
             vc=_failure_spec((), at_seconds, seed).vc)

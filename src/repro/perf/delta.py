@@ -1,40 +1,39 @@
-"""In-place delta mutation of compiled flow programs (``REPRO_DELTA``).
+"""The mutable compiled flow program behind the fluid driver.
 
-The fault runner (:mod:`repro.faults.runner`) used to rebuild its
-:class:`~repro.simulator.engine.FlowProgram` with ``compile_flows`` and
-allocate a fresh :class:`~repro.perf.fillkernel.FillWorkspace` at every
-fabric epoch.  :class:`DeltaProgram` makes those epochs incremental: the
-full flow set is compiled **once** per (schedule, fabric) into a slotted
-incidence arena, and each epoch then
+:class:`DeltaProgram` is the one program type whose flow set or fabric
+changes while a simulation runs (static runs keep a plain
+:class:`~repro.simulator.engine.FlowProgram`).  Its flows live in a slotted
+incidence arena with a warm :class:`~repro.perf.fillkernel.FillWorkspace`,
+and it serves two kinds of mutation:
 
-* patches the per-link capacities in place for ``down`` / ``up`` /
-  ``scale`` events (:meth:`DeltaProgram.set_capacities` — injection and
-  forwarding rows never change across epochs, the fault timeline only
-  touches links);
-* swaps the incidence slots of rerouted flows
-  (:meth:`DeltaProgram.set_paths`) — untouched flows keep their entries,
-  retired or stranded flows are simply masked out of the fill;
-* refreshes the resource-major CSR view of the shared workspace without
-  re-allocating any arena.
+* **fabric epochs** (:mod:`repro.faults.runner`) — the full flow set is
+  compiled **once** per (schedule, fabric) and each epoch then patches the
+  per-link capacities in place for ``down`` / ``up`` / ``scale`` events
+  (:meth:`DeltaProgram.set_capacities` — injection and forwarding rows
+  never change across epochs, the fault timeline only touches links) and
+  swaps the incidence slots of rerouted flows
+  (:meth:`DeltaProgram.set_paths`).  Flow ids never change, so epoch traces
+  can key on them; retired or stranded flows are simply masked out of the
+  fill;
+* **flow injection** (:mod:`repro.cluster.runner`) — an arena that starts
+  empty; :meth:`DeltaProgram.append` adds a flow set's slot spans when a
+  job's comm phase starts, retired rows stay masked, and
+  :meth:`DeltaProgram.compact` drops them wholesale once they outnumber the
+  live ones — an amortized, not per-completion, O(nnz) rebuild.
 
-Every flow owns a fixed span of incidence slots; unused slots point at an
-appended **slack resource** whose capacity (:data:`SLACK_CAP`) is so large
-it can never be a bottleneck, so slot padding is invisible to the max-min
-fill (the rates are bit-identical to a fresh ``compile_flows`` of the
-survivors — asserted by the fuzz leg in ``tests/test_faults.py``).  A
-reroute that overflows its span triggers one geometric regrow of the whole
-arena (``rebuilds`` counts them; spans double, so regrows amortize out).
-
-``REPRO_DELTA=off`` (or :func:`set_delta_enabled`) disables the layer and
-restores the recompile-from-scratch path, which is retained as the
-differential oracle exactly like ``REPRO_KERNEL=python-csr`` and
-``simulator/reference.py``.
+Every flow compiled at build time owns a fixed span of incidence slots;
+unused slots point at an appended **slack resource** whose capacity
+(:data:`SLACK_CAP`) is so large it can never be a bottleneck, so slot
+padding is invisible to the max-min fill (the rates are bit-identical to a
+fresh ``compile_flows`` of the survivors — asserted in
+``tests/test_faults.py``).  A reroute that overflows its span triggers one
+geometric regrow of the whole arena (``rebuilds`` counts them; spans
+double, so regrows amortize out).  Appended spans carry no padding:
+injected flows are never rerouted.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .fillkernel import FillWorkspace
 
-__all__ = ["DeltaProgram", "SLACK_CAP", "delta_enabled", "set_delta_enabled"]
+__all__ = ["DeltaProgram", "SLACK_CAP"]
 
 Path = Tuple[int, ...]
 
@@ -56,58 +55,31 @@ SLACK_CAP = 1e30
 #: fits without a regrow.
 _PAD_SLOTS = 2
 
-_override_lock = threading.Lock()
-_override: Optional[bool] = None
-
-_ON_VALUES = ("on", "1", "true", "yes", "auto")
-_OFF_VALUES = ("off", "0", "false", "no")
-
-
-def set_delta_enabled(value: Optional[bool]) -> None:
-    """Force the delta layer on/off programmatically (``None`` restores env)."""
-    global _override
-    with _override_lock:
-        _override = value
-
-
-def delta_enabled() -> bool:
-    """Whether faulted runs use the in-place delta engine.
-
-    Resolution order: :func:`set_delta_enabled` override, then the
-    ``REPRO_DELTA`` environment variable (default on).  ``off`` selects the
-    recompile-from-scratch differential oracle.
-    """
-    with _override_lock:
-        value = _override
-    if value is not None:
-        return value
-    raw = os.environ.get("REPRO_DELTA", "on").strip().lower()
-    if raw in _ON_VALUES:
-        return True
-    if raw in _OFF_VALUES:
-        return False
-    raise ValueError(
-        f"REPRO_DELTA must be one of {_ON_VALUES + _OFF_VALUES}, got {raw!r}")
+#: Arenas smaller than this are never compacted: the sweep would cost more
+#: than the dead rows it drops.
+_COMPACT_MIN = 16
 
 
 class DeltaProgram:
     """A mutable compiled flow program: slotted incidence + warm workspace.
 
-    Built once over the **full** flow set (original planned paths, against
-    the base fabric with its down set stripped — a planned path may cross a
-    base down link only if the caller reroutes it before the first fill).
-    The runner masks inactive flows instead of compacting them, which is
-    rate-identical to compiling the survivors: the fill kernels read only
-    the incidence, capacities and active mask, never the sizes.
+    Built over an initial flow set (original planned paths, against the
+    base fabric with its down set stripped — a planned path may cross a
+    base down link only if the caller reroutes it before the first fill),
+    which may be empty.  Callers mask inactive flows instead of compacting
+    them, which is rate-identical to compiling the survivors: the fill
+    kernels read only the incidence, capacities and active mask, never the
+    sizes.
 
     ``program`` / ``workspace`` are live views over the mutable arrays —
-    :meth:`apply` edits them in place between fills.  :meth:`clone` gives an
+    the edit methods change them in place (or replace them on a regrow,
+    append or compaction) between fills.  :meth:`clone` gives an
     independent copy sharing the immutable layout (used by concurrent
     adversarial evaluations).
     """
 
-    def __init__(self, topology, fabric, paths: Sequence[Path],
-                 sizes: Sequence[float]) -> None:
+    def __init__(self, topology, fabric, paths: Sequence[Path] = (),
+                 sizes: Sequence[float] = ()) -> None:
         from ..simulator.engine import FluidFlow, compile_flows
 
         self.topology = topology
@@ -134,6 +106,7 @@ class DeltaProgram:
                           else None)
         self.res_cap = np.concatenate([base.res_cap, [SLACK_CAP]])
         self._cap_key: Optional[Tuple[object, object]] = None
+        self.set_capacities(fabric)
 
         # One slot span per flow: the template entries (compile_flows emits
         # them flow-major) plus _PAD_SLOTS of slack headroom.
@@ -154,27 +127,35 @@ class DeltaProgram:
             self.ent_res[s:s + counts[i]] = base.inc_res[src[i]:src[i + 1]]
         self._encoded: List[Path] = [tuple(p) for p in paths]
         self._sizes = np.asarray(base.sizes, dtype=float)
+        self.start_delays = np.zeros(self.num_flows)
+        self.set_ids = np.zeros(self.num_flows, dtype=np.int64)
+        self.set_names: Tuple[str, ...] = ("delta",) if self.num_flows else ()
         self.rebuilds = 0
+        self.compactions = 0
         self._init_views()
 
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
-    def _init_views(self) -> None:
-        """(Re)build the FlowProgram/FillWorkspace views over the arenas."""
+    def _program_view(self):
+        """A FlowProgram over the current arenas (no copies)."""
         from ..simulator.engine import FlowProgram
 
-        self.program = FlowProgram(
+        return FlowProgram(
             num_flows=self.num_flows,
             sizes=self._sizes,
-            start_delays=np.zeros(self.num_flows),
-            set_ids=np.zeros(self.num_flows, dtype=np.int64),
-            set_names=("delta",) if self.num_flows else (),
+            start_delays=self.start_delays,
+            set_ids=self.set_ids,
+            set_names=self.set_names,
             res_cap=self.res_cap,
             inc_res=self.ent_res,
             inc_flow=self.ent_flow,
             meta={"delta": True},
         )
+
+    def _init_views(self) -> None:
+        """(Re)build the FlowProgram/FillWorkspace views over the arenas."""
+        self.program = self._program_view()
         ws = FillWorkspace(self.program)
         # The flow-major view must alias the slot arena so in-place slot
         # writes propagate without re-sorting: ent_flow is sorted, so the
@@ -194,7 +175,7 @@ class DeltaProgram:
         self._csr_dirty = False
 
     # ------------------------------------------------------------------ #
-    # Delta edits
+    # Fabric-epoch edits
     # ------------------------------------------------------------------ #
     def set_capacities(self, epoch_fabric) -> None:
         """Patch the per-link capacities for one epoch fabric, in place.
@@ -273,6 +254,13 @@ class DeltaProgram:
             self._refresh_csr()
         return rebuilds
 
+    def _set_spans(self, caps: np.ndarray) -> None:
+        """Lay out one slot span of ``caps[i]`` entries per flow."""
+        self._caps = caps
+        self._starts = np.zeros(len(caps) + 1, dtype=np.int64)
+        np.cumsum(caps, out=self._starts[1:])
+        self.ent_flow = np.repeat(np.arange(len(caps), dtype=np.int64), caps)
+
     def _rebuild(self, pending: Dict[int, List[int]],
                  paths: Sequence[Optional[Path]]) -> None:
         """Geometric regrow: double the span of every overflowing flow."""
@@ -285,24 +273,72 @@ class DeltaProgram:
             per_flow[i] = np.asarray(ents, dtype=np.int64)
             encoded[i] = paths[i]
             new_caps[i] = max(int(new_caps[i]), 2 * len(ents))
-        new_lens = np.array([len(e) for e in per_flow], dtype=np.int64)
-        starts = np.zeros(self.num_flows + 1, dtype=np.int64)
-        np.cumsum(new_caps, out=starts[1:])
-        nnz = int(starts[-1])
-        ent_flow = np.repeat(
-            np.arange(self.num_flows, dtype=np.int64), new_caps)
-        ent_res = np.full(nnz, self.slack, dtype=np.int64)
+        self._set_spans(new_caps)
+        self._lens = np.array([len(e) for e in per_flow], dtype=np.int64)
+        ent_res = np.full(int(self._starts[-1]), self.slack, dtype=np.int64)
         for i in range(self.num_flows):
-            s = int(starts[i])
-            ent_res[s:s + new_lens[i]] = per_flow[i]
-        self._caps = new_caps
-        self._starts = starts
-        self._lens = new_lens
-        self.ent_flow = ent_flow
+            s = int(self._starts[i])
+            ent_res[s:s + self._lens[i]] = per_flow[i]
         self.ent_res = ent_res
         self._encoded = encoded
         self.rebuilds += 1
         self._init_views()
+
+    # ------------------------------------------------------------------ #
+    # Flow injection
+    # ------------------------------------------------------------------ #
+    def append(self, flows, name: str) -> int:
+        """Append a flow set as new rows; returns its set id.
+
+        The batch is compiled with the engine's ``compile_flows`` against
+        the base fabric (so degraded fabrics, injection and forwarding caps
+        and start-up latencies behave exactly as in a static run) and its
+        incidence appended with the flow ids offset past the current rows.
+        """
+        from ..simulator.engine import compile_flows
+
+        batch = compile_flows(self.topology, flows, self.base_fabric)
+        counts = np.bincount(batch.inc_flow,
+                             minlength=batch.num_flows).astype(np.int64)
+        offset = self.num_flows
+        set_id = len(self.set_names)
+        self._set_spans(np.concatenate([self._caps, counts]))
+        self._lens = np.concatenate([self._lens, counts])
+        self.ent_res = np.concatenate([self.ent_res, batch.inc_res])
+        self._encoded.extend(tuple(f.path) for f in flows)
+        self._sizes = np.concatenate([self._sizes, batch.sizes])
+        self.start_delays = np.concatenate([self.start_delays,
+                                            batch.start_delays])
+        self.set_ids = np.concatenate(
+            [self.set_ids, np.full(batch.num_flows, set_id, dtype=np.int64)])
+        self.set_names = self.set_names + (name,)
+        self.num_flows = offset + batch.num_flows
+        self._init_views()
+        return set_id
+
+    def compact(self, live: np.ndarray) -> bool:
+        """Drop the rows outside ``live`` once they outnumber the live ones.
+
+        Lazy by design: until then retired rows just stay masked out of
+        the fill.  Returns True when the arena was compacted — the caller
+        then keeps only the ``live`` entries of its own per-flow arrays.
+        """
+        num_live = int(np.count_nonzero(live))
+        if (self.num_flows - num_live <= num_live
+                or self.num_flows < _COMPACT_MIN):
+            return False
+        entry_keep = live[self.ent_flow]
+        self.ent_res = self.ent_res[entry_keep]
+        self._set_spans(self._caps[live])
+        self._lens = self._lens[live]
+        self._encoded = [p for p, keep in zip(self._encoded, live) if keep]
+        self._sizes = self._sizes[live]
+        self.start_delays = self.start_delays[live]
+        self.set_ids = self.set_ids[live]
+        self.num_flows = num_live
+        self.compactions += 1
+        self._init_views()
+        return True
 
     # ------------------------------------------------------------------ #
     # Cloning (concurrent adversarial evaluations)
@@ -316,8 +352,6 @@ class DeltaProgram:
         mutable state (``ent_res``, ``res_cap``, CSR view, scratch arenas)
         is copied, so clones evolve independently across threads.
         """
-        from ..simulator.engine import FlowProgram
-
         new = object.__new__(DeltaProgram)
         new.__dict__.update(self.__dict__)
         new.ent_res = self.ent_res.copy()
@@ -325,17 +359,8 @@ class DeltaProgram:
         new._lens = self._lens.copy()
         new._encoded = list(self._encoded)
         new.rebuilds = 0
-        new.program = FlowProgram(
-            num_flows=new.num_flows,
-            sizes=new._sizes,
-            start_delays=np.zeros(new.num_flows),
-            set_ids=np.zeros(new.num_flows, dtype=np.int64),
-            set_names=("delta",) if new.num_flows else (),
-            res_cap=new.res_cap,
-            inc_res=new.ent_res,
-            inc_flow=new.ent_flow,
-            meta={"delta": True},
-        )
+        new.compactions = 0
+        new.program = new._program_view()
         src = self.workspace
         ws = object.__new__(FillWorkspace)
         ws.num_res = src.num_res

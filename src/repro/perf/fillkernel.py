@@ -52,10 +52,11 @@ _override: Optional[str] = None
 class FillWorkspace:
     """Preallocated scratch arenas + CSR incidence for one flow program.
 
-    Built once per :class:`~repro.simulator.engine.FlowProgram` (the engine's
-    ``execute`` owns one per run; the cluster injector rebuilds on flow-set
-    changes) and reused across every fill, so the per-event cost is the
-    saturation rounds themselves — no allocation, no incidence re-sorting.
+    Built once per :class:`~repro.simulator.engine.FlowProgram` (the fluid
+    driver owns one per static run; a :class:`~repro.perf.delta.DeltaProgram`
+    rebuilds its own on flow-set changes) and reused across every fill, so
+    the per-event cost is the saturation rounds themselves — no allocation,
+    no incidence re-sorting.
 
     The COO incidence is flattened both ways: ``res_ptr``/``res_flows`` list
     each resource's entries (flow ids, duplicates preserved) and

@@ -1,8 +1,9 @@
 """Direct-connect fabric simulator (the testbed substitute).
 
 All regimes share one vectorized, event-driven fluid core
-(:mod:`repro.simulator.engine`); :mod:`.flowsim` and :mod:`.collective`
-are thin front-ends that lower their schedules to the engine's flow IR
+(:mod:`repro.simulator.engine`, whose :class:`~.engine.FluidDriver` is the
+one simulation loop); :mod:`.flowsim` and :mod:`.collective` are thin
+front-ends that lower their schedules to the engine's flow IR
 (:mod:`.collective` simulates each schedule once and rescales the result to
 every buffer size).  :mod:`.reference` keeps the scalar implementation as a
 differential-testing oracle.
@@ -23,9 +24,11 @@ from .costmodel import (
     throughput_upper_bound_curve,
 )
 from .engine import (
+    DriverSnapshot,
     EngineResult,
     FillWorkspace,
     FlowProgram,
+    FluidDriver,
     compile_flows,
     engine_counters,
     execute,
@@ -61,9 +64,11 @@ __all__ = [
     "latency_bandwidth_time",
     "steady_state_throughput",
     "throughput_upper_bound_curve",
+    "DriverSnapshot",
     "EngineResult",
     "FillWorkspace",
     "FlowProgram",
+    "FluidDriver",
     "compile_flows",
     "engine_counters",
     "execute",

@@ -16,9 +16,13 @@ Every simulation regime in :mod:`repro.simulator` — cut-through flow sets
    flows freeze at that rate).  ``REPRO_KERNEL`` selects explicitly;
    scratch arenas live in a :class:`~repro.perf.fillkernel.FillWorkspace`
    reused across fills;
-3. **execute** — :func:`execute` advances from flow completion to flow
-   completion through the :class:`~repro.simulator.events.EventQueue`
-   scheduler, re-filling incrementally over the surviving flows only.
+3. **drive** — :class:`FluidDriver` advances from completion edge to
+   completion edge through the :class:`~repro.simulator.events.EventQueue`
+   scheduler, re-filling incrementally over the surviving flows only.  It
+   is the one simulation loop: :func:`execute` runs a static program on
+   it, and the fault runner (:mod:`repro.faults.runner`) and the cluster
+   co-simulator (:mod:`repro.cluster.runner`) are event sources that
+   mutate a :class:`~repro.perf.delta.DeltaProgram` between its fills.
 
 Max-min fair allocations are unique, so freezing *all* minimum-share
 resources per round is exactly equivalent to the classic one-bottleneck-
@@ -39,20 +43,23 @@ for the ``[stats]`` footer; read them with :func:`engine_counters`.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..constants import SIM_BYTES_EPS, SIM_EPS
+from ..perf.delta import DeltaProgram
 from ..perf.fillkernel import FillWorkspace, run_fill
 from ..topology.base import Edge, Topology
-from .events import EventQueue
+from .events import Event, EventQueue
 from .fabric import FabricModel
 
 __all__ = ["FluidFlow", "FlowProgram", "EngineResult", "FillWorkspace",
+           "FluidDriver", "DriverSnapshot",
            "compile_flows", "execute", "fill_rates", "simulate_program",
            "engine_counters", "record_simulation", "record_fault_events",
            "reset_engine_counters"]
@@ -125,21 +132,16 @@ def reset_engine_counters() -> None:
                          route_cache_misses=0)
 
 
-def _count(fill_rounds: int, events: int) -> None:
+def record_simulation(fill_rounds: int, events: int) -> None:
+    """Credit one simulation's fill rounds and events to the engine counters.
+
+    :meth:`FluidDriver.run` calls this once per run, so every simulator
+    built on the driver shows up in the same ``[stats]`` footer.
+    """
     with _counters_lock:
         _counters["fill_rounds"] += fill_rounds
         _counters["events"] += events
         _counters["simulations"] += 1
-
-
-def record_simulation(fill_rounds: int, events: int) -> None:
-    """Credit one externally-driven simulation to the engine counters.
-
-    Drivers that run the fill loop themselves (e.g. the cluster runner,
-    which interleaves flow injection with saturation rounds) use this so
-    their work shows up in the same ``[stats]`` footer as :func:`execute`.
-    """
-    _count(fill_rounds, events)
 
 
 def record_fault_events(fabric_events: int, reroutes: int,
@@ -318,8 +320,253 @@ def fill_rates(program: FlowProgram, active: np.ndarray,
 
 
 # --------------------------------------------------------------------------- #
-# Event-driven execution
+# The fluid driver: the one integrate / retire / refill / schedule loop
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class DriverSnapshot:
+    """A :class:`FluidDriver`'s fluid state at one instant (arrays copied).
+
+    ``remaining`` is as of ``last``, the instant the current rates took
+    effect, and ``edge_at`` / ``edge_mask`` describe the pending completion
+    edge, so a restored driver integrates and fires exactly the float
+    expressions an uninterrupted one would.
+    """
+
+    now: float
+    last: float
+    fill_rounds: int
+    events: int
+    remaining: np.ndarray
+    active: np.ndarray
+    parked: np.ndarray
+    completion: np.ndarray
+    rates: np.ndarray
+    edge_at: Optional[float]
+    edge_mask: Optional[np.ndarray]
+
+
+class FluidDriver:
+    """The fluid simulation loop, shared by every simulator in the package.
+
+    Owns the :class:`~repro.simulator.events.EventQueue`, the per-flow
+    ``remaining`` / ``active`` / ``completion`` arrays, the current rates
+    and the pending *completion edge*: the next instant a flow runs dry.
+    Between edges the rates are constant, so the state only changes at
+    events.  Callers that mutate the simulation mid-run (fabric epochs,
+    job arrivals, phase barriers) are event sources: they schedule their
+    own callbacks on :attr:`queue`, and each callback does
+    :meth:`advance` → mutate → :meth:`refill`.  Events at equal times fire
+    in scheduling order, so a caller event scheduled before the edge it
+    collides with fires first.
+
+    **Completion rule.**  At every refill the flows whose residual bytes
+    drain within the edge window — ``remaining <= rates * dt * (1 + 1e-12)
+    + SIM_BYTES_EPS`` — are marked, and they are forced done when that edge
+    itself fires.  Without the window a flow finishing less than one float
+    ulp after the edge would respawn an edge that never advances the clock;
+    a refill before the edge (a mutation) cancels the edge and drops its
+    mask.  Retired flows complete at ``now + delay``: the start-up latency
+    lands after the transfer, without holding bandwidth meanwhile.
+
+    ``program`` is either a static :class:`FlowProgram` (a plain run) or a
+    :class:`~repro.perf.delta.DeltaProgram` whose fabric or flow set the
+    caller edits between fills; fills always read its current views.
+    ``sizes`` / ``delays`` override the program's per-flow bytes and
+    start-up latencies.  ``parked`` masks *stranded* flows out of the fill
+    without retiring them.  ``on_retire(ids)`` is called with the flow ids
+    each retirement completes, after their completion times are stamped.
+    Engine-wide counters are credited once per :meth:`run`.
+    """
+
+    def __init__(self, program: Union[FlowProgram, DeltaProgram],
+                 sizes: Optional[np.ndarray] = None,
+                 delays: Optional[np.ndarray] = None,
+                 on_retire: Optional[Callable[[np.ndarray], None]] = None
+                 ) -> None:
+        if isinstance(program, DeltaProgram):
+            self.delta: Optional[DeltaProgram] = program
+            self._static: Optional[Tuple[FlowProgram, FillWorkspace]] = None
+            program = program.program
+        else:
+            self.delta = None
+            self._static = (program, FillWorkspace(program))
+        self.queue = EventQueue()
+        self.on_retire = on_retire
+        sizes = program.sizes if sizes is None else sizes
+        self.delays = program.start_delays if delays is None else delays
+        self.remaining = np.asarray(sizes, dtype=float).copy()
+        self.active = self.remaining > SIM_EPS
+        self.parked = np.zeros(len(self.remaining), dtype=bool)
+        self.completion = np.where(self.active, 0.0, self.delays)
+        self.rates = np.zeros(len(self.remaining))
+        self.last = 0.0
+        self.fill_rounds = 0
+        self._edge_at: Optional[float] = None
+        self._edge_mask: Optional[np.ndarray] = None
+        self._edge: Optional[Event] = None
+        self._compacting = False
+        self._credited = (0, 0)
+
+    @property
+    def events(self) -> int:
+        """Events processed on :attr:`queue` (caller events included)."""
+        return self.queue.processed
+
+    # ------------------------------------------------------------------ #
+    # The loop
+    # ------------------------------------------------------------------ #
+    def advance(self) -> None:
+        """Integrate the current rates up to now and retire drained flows."""
+        self._integrate()
+        self._retire()
+
+    def _integrate(self) -> None:
+        # Every flow outside the last fill's live set has rate zero (a fill
+        # pins inactive flows to zero and an empty refill zeroes the rates),
+        # so draining the whole array moves only live flows; rows retired
+        # since the fill are never read again.
+        dt = self.queue.now - self.last
+        self.last = self.queue.now
+        if dt > 0:
+            self.remaining -= self.rates * dt
+
+    def _retire(self) -> None:
+        done = self.active & (self.remaining <= SIM_BYTES_EPS)
+        if not done.any():
+            return
+        self.remaining[done] = 0.0
+        self.completion[done] = self.queue.now + self.delays[done]
+        self.active[done] = False
+        if self.on_retire is not None:
+            self.on_retire(np.nonzero(done)[0])
+
+    def refill(self) -> None:
+        """Re-fill over the live flows and schedule the next completion edge."""
+        self._integrate()
+        if self._edge is not None:
+            self._edge.cancel()
+        self._edge = self._edge_at = self._edge_mask = None
+        if self._compacting:
+            self._compact()
+        live = self.active & ~self.parked
+        if not live.any():
+            self.rates = np.zeros(len(live))
+            return
+        program, workspace = self._static or (self.delta.program,
+                                              self.delta.workspace)
+        rates, rounds = fill_rates(program, live, workspace)
+        self.rates = rates
+        self.fill_rounds += rounds
+        eligible = live & (rates > SIM_EPS)
+        if not eligible.any():
+            raise RuntimeError(
+                "fluid simulation stalled: active flows have zero rate "
+                "(a resource is fully saturated by completed flows?)")
+        dt = max(0.0, float(np.min(self.remaining[eligible] / rates[eligible])))
+        self._edge_mask = eligible & (
+            self.remaining <= rates * (dt * (1.0 + 1e-12)) + SIM_BYTES_EPS)
+        self._edge = self.queue.schedule(dt, self._on_edge)
+        self._edge_at = self._edge.time
+
+    def _on_edge(self) -> None:
+        mask = self._edge_mask
+        self._edge = self._edge_at = self._edge_mask = None
+        self._integrate()
+        self.remaining[mask] = 0.0
+        self._retire()
+        self.refill()
+
+    def run(self, until: Optional[float] = None,
+            max_events: int = 1_000_000) -> None:
+        """Fire events until the queue drains, or until just before ``until``.
+
+        With ``until`` every event strictly earlier than it fires and the
+        clock then stands at ``until``: an event *at* ``until`` is left for
+        a later :meth:`run` (or a restored driver), where a caller event
+        scheduled for that instant still fires before the edge.  Credits
+        the engine counters with the work done since the last credit.
+        """
+        if self._edge_at is not None and self._edge is None:
+            self._edge = self.queue.schedule_at(self._edge_at, self._on_edge)
+        horizon = None if until is None else math.nextafter(until, -math.inf)
+        try:
+            self.queue.run(until=horizon, max_events=max_events)
+        except RuntimeError as exc:
+            raise RuntimeError("fluid simulation did not converge") from exc
+        if until is not None and until > self.queue.now:
+            self.queue.now = until
+        rounds, events = self._credited
+        record_simulation(self.fill_rounds - rounds, self.events - events)
+        self._credited = (self.fill_rounds, self.events)
+
+    # ------------------------------------------------------------------ #
+    # Mutations
+    # ------------------------------------------------------------------ #
+    def inject(self, flows: Sequence[FluidFlow], name: str) -> int:
+        """Append a flow set to the live program; returns its set id.
+
+        Needs a :class:`~repro.perf.delta.DeltaProgram`.  The new flows
+        are active at once; follow with :meth:`advance` (zero-byte flows
+        retire at injection) and :meth:`refill`.  A driver that injects
+        compacts its retired rows lazily, so flow ids are only stable in
+        drivers that never inject.
+        """
+        set_id = self.delta.append(flows, name)
+        batch = self.delta.program
+        k = len(flows)
+        self.remaining = np.concatenate([self.remaining, batch.sizes[-k:]])
+        self.active = np.concatenate([self.active, np.ones(k, dtype=bool)])
+        self.parked = np.concatenate([self.parked, np.zeros(k, dtype=bool)])
+        self.completion = np.concatenate([self.completion, np.zeros(k)])
+        self.delays = np.concatenate([self.delays, batch.start_delays[-k:]])
+        self.rates = np.concatenate([self.rates, np.zeros(k)])
+        self._compacting = True
+        return set_id
+
+    def _compact(self) -> None:
+        """Drop retired rows from the program and the per-flow arrays."""
+        keep = self.active
+        if not self.delta.compact(keep):
+            return
+        for name in ("remaining", "parked", "completion", "delays", "rates"):
+            setattr(self, name, getattr(self, name)[keep])
+        self.active = self.active[keep]
+
+    # ------------------------------------------------------------------ #
+    # Checkpointing
+    # ------------------------------------------------------------------ #
+    def snapshot(self) -> DriverSnapshot:
+        """The fluid state now (see :class:`DriverSnapshot`)."""
+        return DriverSnapshot(
+            now=self.queue.now, last=self.last, fill_rounds=self.fill_rounds,
+            events=self.events, remaining=self.remaining.copy(),
+            active=self.active.copy(), parked=self.parked.copy(),
+            completion=self.completion.copy(), rates=self.rates.copy(),
+            edge_at=self._edge_at,
+            edge_mask=(None if self._edge_mask is None
+                       else self._edge_mask.copy()))
+
+    def restore(self, snap: DriverSnapshot) -> None:
+        """Resume from ``snap`` on a fresh driver over an equivalent program.
+
+        Caller events are not part of the snapshot: schedule them again
+        after restoring.  The pending edge is re-armed when :meth:`run`
+        starts, after them, so the event order matches a run whose caller
+        events were scheduled up front; the counters credit only the work
+        done after the snapshot.
+        """
+        self.queue.now = snap.now
+        self.queue.processed = snap.events
+        self.last = snap.last
+        self.fill_rounds = snap.fill_rounds
+        self._credited = (snap.fill_rounds, snap.events)
+        for name in ("remaining", "active", "parked", "completion", "rates"):
+            setattr(self, name, getattr(snap, name).copy())
+        self._edge_at = snap.edge_at
+        self._edge_mask = (None if snap.edge_mask is None
+                           else snap.edge_mask.copy())
+
+
 @dataclass
 class EngineResult:
     """Outcome of executing one :class:`FlowProgram`."""
@@ -334,77 +581,30 @@ class EngineResult:
 
 
 def execute(program: FlowProgram, max_events: int = 1_000_000) -> EngineResult:
-    """Run a compiled program to completion on the event scheduler.
+    """Run a compiled program to completion on the :class:`FluidDriver`.
 
-    Rates are re-filled only when a completion event fires, and only over
+    Rates are re-filled only when a completion edge fires, and only over
     the surviving flows; zero-byte flows complete after their start-up
     latency without entering the fill at all.
     """
-    n = program.num_flows
-    if n == 0:
-        result = EngineResult(0.0, [], {}, 0, 0, 0.0, 0.0)
-        _count(0, 0)
-        return result
-
-    remaining = program.sizes.astype(float, copy=True)
-    active = remaining > SIM_EPS
-    completion = np.where(active, 0.0, program.start_delays)
-    queue = EventQueue()
-    # One workspace per run: the CSR incidence is flattened once and every
-    # fill reuses the same scratch arenas (including the rate vector, which
-    # refill_and_schedule aliases into ``state`` instead of copying —
-    # on_completion always drains the previous rates before the next fill
-    # overwrites the buffer).
-    workspace = FillWorkspace(program)
-    state = {"rates": workspace.rates, "last": 0.0, "fill_rounds": 0}
-
-    def refill_and_schedule() -> None:
-        if not active.any():
-            return
-        rates, rounds = fill_rates(program, active, workspace)
-        state["rates"] = rates
-        state["fill_rounds"] += rounds
-        eligible = active & (rates > SIM_EPS)
-        if not eligible.any():
-            raise RuntimeError(
-                "fluid simulation stalled: active flows have zero rate "
-                "(a resource is fully saturated by completed flows?)")
-        state["last"] = queue.now
-        dt = float(np.min(remaining[eligible] / rates[eligible]))
-        queue.schedule(dt, on_completion)
-
-    def on_completion() -> None:
-        dt = queue.now - state["last"]
-        rates = state["rates"]
-        remaining[active] -= rates[active] * dt
-        done = active & (remaining <= SIM_BYTES_EPS)
-        remaining[done] = 0.0
-        completion[done] = queue.now + program.start_delays[done]
-        active[done] = False
-        refill_and_schedule()
-
-    refill_and_schedule()
-    try:
-        queue.run(max_events=max_events)
-    except RuntimeError as exc:
-        raise RuntimeError("fluid simulation did not converge") from exc
-
+    driver = FluidDriver(program)
+    driver.refill()
+    driver.run(max_events=max_events)
+    completion = driver.completion
     set_times: Dict[str, float] = {}
     for idx, name in enumerate(program.set_names):
         members = program.set_ids == idx
         if members.any():
             set_times[name] = float(completion[members].max())
-    result = EngineResult(
-        completion_time=float(completion.max()),
+    return EngineResult(
+        completion_time=float(completion.max()) if program.num_flows else 0.0,
         flow_completion_times=[float(t) for t in completion],
         set_completion_times=set_times,
-        fill_rounds=state["fill_rounds"],
-        events_processed=queue.processed,
+        fill_rounds=driver.fill_rounds,
+        events_processed=driver.events,
         max_link_bytes=program.max_link_bytes,
         total_bytes=program.total_bytes,
     )
-    _count(result.fill_rounds, result.events_processed)
-    return result
 
 
 def simulate_program(topology: Topology, flows: Sequence[FluidFlow],

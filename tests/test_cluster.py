@@ -8,6 +8,7 @@ declarative scenario/sweep stack (hash stability, record metrics).
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -205,61 +206,83 @@ class TestRunCluster:
 # Scenario / sweep integration
 # --------------------------------------------------------------------------- #
 class TestInjectorLazyRetire:
-    """The injector deactivates completed rows and compacts only lazily."""
+    """Injected rows retire by masking and compact only lazily."""
 
-    def _injector(self):
-        from repro.cluster.injector import FlowInjector
+    def _arena(self):
+        from repro.perf import DeltaProgram
         from repro.simulator import FluidFlow
         from repro.topology import hypercube
 
         topo = hypercube(3)
-        injector = FlowInjector(topo, cerio_hpc_fabric())
-        flows = [FluidFlow(path=(s, s ^ 1), size_bytes=float((i + 1) * 4096))
-                 for i, s in enumerate(range(8)) for _ in [0]]
-        injector.inject(flows, name="batch0")
-        injector.inject(
+        arena = DeltaProgram(topo, cerio_hpc_fabric())
+        flows = [FluidFlow(path=(s, s ^ 1), size_bytes=float((s + 1) * 4096))
+                 for s in range(8)]
+        assert arena.append(flows, name="batch0") == 0
+        assert arena.append(
             [FluidFlow(path=(s, s ^ 2), size_bytes=float((s + 1) * 4096))
-             for s in range(8)], name="batch1")
-        return injector
+             for s in range(8)], name="batch1") == 1
+        return arena
+
+    @staticmethod
+    def _fresh_rates(arena, live):
+        """Rates of a fresh ``compile_flows`` over the live rows only."""
+        from repro.simulator import FluidFlow, compile_flows
+        from repro.simulator.engine import fill_rates
+
+        rows = np.nonzero(live)[0]
+        fresh = compile_flows(
+            arena.topology,
+            [FluidFlow(path=arena._encoded[i], size_bytes=1.0) for i in rows],
+            arena.base_fabric)
+        rates, _ = fill_rates(fresh, np.ones(len(rows), dtype=bool))
+        return rates.copy()
 
     def test_retire_is_lazy_then_compacts(self):
-        injector = self._injector()
-        assert injector.num_flows == 16
-        program_before = injector.program()
-        # Finish 6 of 16: dead (6) < live (10) -> rows deactivate, arrays keep
-        # their length and the cached program stays warm.
-        injector._remaining[:6] = 0.0
-        retired = injector.retire()
-        assert len(retired) == 6
-        assert injector.num_flows == 10
-        assert injector.compactions == 0
-        assert injector.program() is program_before
-        assert len(injector.remaining) == 16
-        # Dead rows fill at rate zero and are never retired twice.
-        rates, _ = injector.fill()
+        from repro.simulator.engine import fill_rates
+
+        arena = self._arena()
+        assert arena.num_flows == 16
+        assert list(arena.set_ids) == [0] * 8 + [1] * 8
+        program_before = arena.program
+        # Retire 6 of 16: dead (6) < live (10) -> rows are only masked, the
+        # arena keeps its length and the program view stays warm.
+        live = np.ones(16, dtype=bool)
+        live[:6] = False
+        assert not arena.compact(live)
+        assert arena.compactions == 0
+        assert arena.program is program_before
+        assert arena.num_flows == 16
+        # Masked rows fill at rate zero; the rest equal a fresh compile.
+        rates, _ = fill_rates(arena.program, live, arena.workspace)
         assert (rates[:6] == 0.0).all() and (rates[6:] > 0).all()
-        assert injector.retire() == []
-        # Finish 6 more: dead (12) > live (4) -> wholesale compaction.
-        injector._remaining[6:12] = 0.0
-        assert len(injector.retire()) == 6
-        assert injector.compactions == 1
-        assert injector.num_flows == 4
-        assert len(injector.remaining) == 4
-        rates, _ = injector.fill()
-        assert (rates > 0).all()
+        np.testing.assert_array_equal(rates[live],
+                                      self._fresh_rates(arena, live))
+        # Retire 6 more: dead (12) > live (4) -> wholesale compaction.
+        live[6:12] = False
+        expect = self._fresh_rates(arena, live)
+        assert arena.compact(live)
+        assert arena.compactions == 1
+        assert arena.num_flows == 4
+        assert list(arena.set_ids) == [1] * 4
+        rates, _ = fill_rates(arena.program, np.ones(4, dtype=bool),
+                              arena.workspace)
+        np.testing.assert_array_equal(rates, expect)
 
     def test_inject_after_lazy_retire_appends_past_dead_rows(self):
         from repro.simulator import FluidFlow
+        from repro.simulator.engine import fill_rates
 
-        injector = self._injector()
-        injector._remaining[:4] = 0.0
-        injector.retire()
-        assert injector.num_flows == 12
-        injector.inject([FluidFlow(path=(0, 1), size_bytes=4096.0)],
-                        name="late")
-        assert injector.num_flows == 13
-        rates, _ = injector.fill()
+        arena = self._arena()
+        live = np.ones(16, dtype=bool)
+        live[:4] = False
+        assert not arena.compact(live)
+        arena.append([FluidFlow(path=(0, 1), size_bytes=4096.0)], name="late")
+        live = np.append(live, True)
+        assert arena.num_flows == 17 and arena.set_names[-1] == "late"
+        rates, _ = fill_rates(arena.program, live, arena.workspace)
         assert rates[-1] > 0 and (rates[:4] == 0.0).all()
+        np.testing.assert_array_equal(rates[live],
+                                      self._fresh_rates(arena, live))
 
 
 class TestClusterScenario:

@@ -11,6 +11,7 @@ search determinism, and the scenario/sweep/CLI wiring.
 """
 
 import random
+from contextlib import nullcontext
 from pathlib import Path
 
 import networkx as nx
@@ -33,7 +34,7 @@ from repro.faults import (
 )
 from repro.faults.spec import FaultEvent, FaultTimeline
 from repro.faults.reroute import effective_path
-from repro.perf import set_delta_enabled, set_fill_kernel
+from repro.perf import set_fill_kernel
 from repro.simulator import (
     FluidFlow,
     cerio_hpc_fabric,
@@ -42,6 +43,8 @@ from repro.simulator import (
 )
 from repro.simulator.reference import max_min_rates_reference
 from repro.topology import from_spec
+
+from oracles.recompile import recompile_oracle, run_faulted_recompile
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,25 +56,6 @@ def kernel_guard():
     """Restore env-driven kernel selection after a forced-kernel test."""
     yield
     set_fill_kernel(None)
-
-
-@pytest.fixture()
-def delta_guard():
-    """Restore env-driven REPRO_DELTA selection after a forced-mode test."""
-    yield
-    set_delta_enabled(None)
-
-
-@pytest.fixture()
-def delta_on():
-    """Force the delta engine on for tests that exercise it specifically.
-
-    CI re-runs this whole file under ``REPRO_DELTA=off``; delta-internals
-    tests must not silently degrade to the oracle path there.
-    """
-    set_delta_enabled(True)
-    yield
-    set_delta_enabled(None)
 
 
 def _lowered(topology: str, scheme: str = "ewsp"):
@@ -265,7 +249,7 @@ class TestDeltaEngine:
 
     @pytest.mark.parametrize("topology,scheme", CASES)
     def test_delta_program_matches_fresh_compile_every_epoch(
-            self, topology, scheme, delta_on):
+            self, topology, scheme):
         """Fuzz: delta-edited arenas == fresh ``compile_flows``, per epoch.
 
         Replays the epoch trace of randomized faulted runs through a fresh
@@ -291,7 +275,6 @@ class TestDeltaEngine:
             res = run_faulted(schedule, buf, spec, fabric=fabric,
                               validate=False, baseline_seconds=baseline,
                               collect_trace=True)
-            assert res.meta["delta"] == "on"
             context = PreparedFaultContext(schedule, fabric)
             delta = context.delta_program()
             timeline = FaultTimeline(parse_fault_spec(spec))
@@ -322,9 +305,8 @@ class TestDeltaEngine:
                     err_msg=f"{spec}: capacities diverge at t={rec.time}")
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_oracle_mode_matches_delta_within_1e9(self, kernel, kernel_guard,
-                                                  delta_guard):
-        """``REPRO_DELTA=off`` agrees with delta runs under every kernel."""
+    def test_oracle_mode_matches_delta_within_1e9(self, kernel, kernel_guard):
+        """The recompile oracle agrees with delta runs under every kernel."""
         set_fill_kernel(kernel)
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
@@ -335,20 +317,17 @@ class TestDeltaEngine:
         for seed in range(3):
             rng = random.Random(f"mode/{kernel}/{seed}")
             spec = _random_fault_spec(topo, rng, baseline)
-            set_delta_enabled(True)
             on = run_faulted(schedule, buf, spec, fabric=fabric,
                              validate=False, baseline_seconds=baseline)
-            set_delta_enabled(False)
-            off = run_faulted(schedule, buf, spec, fabric=fabric,
-                              validate=False, baseline_seconds=baseline)
-            assert on.meta["delta"] == "on" and off.meta["delta"] == "off"
+            off = run_faulted_recompile(schedule, buf, spec, fabric=fabric,
+                                        baseline_seconds=baseline)
             assert abs(on.completion_time
                        - off.completion_time) <= 1e-9, spec
             for key in ("reroute_count", "fault_events", "fill_rounds",
                         "vc_layers", "stranded_bytes", "events"):
                 assert on.meta[key] == off.meta[key], (spec, key)
 
-    def test_prefix_resume_is_identical_to_full_run(self, delta_on):
+    def test_prefix_resume_is_identical_to_full_run(self):
         """Resuming from a captured healthy prefix changes nothing."""
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
@@ -371,7 +350,7 @@ class TestDeltaEngine:
         assert resumed.meta["events"] == full.meta["events"]
         assert resumed.meta["reroute_count"] == full.meta["reroute_count"]
 
-    def test_prefix_not_matching_first_epoch_raises(self, delta_on):
+    def test_prefix_not_matching_first_epoch_raises(self):
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
         buf = 2 ** 20
@@ -396,7 +375,7 @@ class TestDeltaEngine:
                         fabric=fabric_from_spec("hpc:scale=0~1:0.5"),
                         validate=False, context=context)
 
-    def test_shared_context_hits_the_reroute_cache(self, delta_on):
+    def test_shared_context_hits_the_reroute_cache(self):
         """A second identical run serves repairs/certs from the cache."""
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
@@ -412,7 +391,7 @@ class TestDeltaEngine:
         assert second.meta["route_cache_hits"] > 0
         assert context.reroute_cache.hits >= second.meta["route_cache_hits"]
 
-    def test_flapping_timeline_reuses_delta_state(self, delta_on):
+    def test_flapping_timeline_reuses_delta_state(self):
         """Revisited fabric states patch in place: hits, no rebuilds."""
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
@@ -422,13 +401,12 @@ class TestDeltaEngine:
             parts.append(f"up@{16 + 12 * i}us")
         res = run_faulted(schedule, 2 ** 20, "faults:" + ":".join(parts),
                           fabric=fabric, validate=False)
-        assert res.meta["delta"] == "on"
         assert res.meta["delta_hits"] + res.meta["delta_rebuilds"] > 0
         # After the first down/up pair every state has been seen: the
         # remaining epochs must all be in-place hits.
         assert res.meta["delta_hits"] >= 8
 
-    def test_engine_counters_and_footer_carry_delta_stats(self, delta_on):
+    def test_engine_counters_and_footer_carry_delta_stats(self):
         from repro.analysis.report import format_engine_footer
         from repro.simulator.engine import (engine_counters,
                                             reset_engine_counters)
@@ -453,34 +431,19 @@ class TestDeltaEngine:
         finally:
             reset_engine_counters()
 
-    def test_repro_delta_env_values(self, monkeypatch, delta_guard):
-        from repro.perf import delta_enabled
-
-        set_delta_enabled(None)
-        monkeypatch.setenv("REPRO_DELTA", "off")
-        assert delta_enabled() is False
-        monkeypatch.setenv("REPRO_DELTA", "on")
-        assert delta_enabled() is True
-        monkeypatch.setenv("REPRO_DELTA", "sideways")
-        with pytest.raises(ValueError, match="REPRO_DELTA"):
-            delta_enabled()
-        set_delta_enabled(False)   # override beats the (invalid) env
-        assert delta_enabled() is False
-
-    def test_adversarial_serial_parallel_and_oracle_agree(self, delta_guard):
+    def test_adversarial_serial_parallel_and_oracle_agree(self):
         """Serial, ``jobs=3`` and oracle searches return identical tables."""
         schedule = _lowered("hypercube:dim=3")
         fabric = cerio_hpc_fabric()
         buf = 2 ** 20
         context = PreparedFaultContext(schedule, fabric)
-        set_delta_enabled(True)
         serial = worst_case_failures(schedule, buf, k=2, fabric=fabric,
                                      candidates=5, context=context)
         parallel = worst_case_failures(schedule, buf, k=2, fabric=fabric,
                                        candidates=5, jobs=3, context=context)
-        set_delta_enabled(False)
-        oracle = worst_case_failures(schedule, buf, k=2, fabric=fabric,
-                                     candidates=5, context=context)
+        with recompile_oracle():
+            oracle = worst_case_failures(schedule, buf, k=2, fabric=fabric,
+                                         candidates=5, context=context)
         table = lambda a: [(ev["links"], ev["slowdown"], ev["reroute_count"])
                            for ev in a.evaluations]       # noqa: E731
         assert serial.worst_links == parallel.worst_links == oracle.worst_links
@@ -769,26 +732,27 @@ class TestScenarioWiring:
 class TestGoldenRobustness:
     @pytest.mark.parametrize("delta", [True, False],
                              ids=["delta", "oracle"])
-    def test_fig_robustness_matches_golden_file(self, delta, delta_guard):
+    def test_fig_robustness_matches_golden_file(self, delta):
         """Both engines reproduce the golden artifact byte-for-byte.
 
-        The oracle leg disables the plan's stage cache so its simulate
-        stages genuinely re-run under ``REPRO_DELTA=off`` instead of being
-        served from the delta leg's cached artifacts.
+        The oracle leg runs every faulted simulation on the recompile
+        oracle and disables the plan's stage cache, so its simulate stages
+        genuinely re-run instead of being served from the delta leg's
+        cached artifacts.
         """
         from repro.experiments import get_plan_cache, result_from_plan
         from repro.report.specs import FIG_ROBUSTNESS
 
-        set_delta_enabled(delta)
         cache = get_plan_cache()
         prev = cache.enabled
         cache.enabled = cache.enabled and delta
         try:
-            spec = FIG_ROBUSTNESS
-            results = [result_from_plan(s, Plan(s).run(through=spec.through),
-                                        through=spec.through)
-                       for s in spec.scenarios(fast=True)]
-            out = spec.aggregate(results, fast=True)
+            with nullcontext() if delta else recompile_oracle():
+                spec = FIG_ROBUSTNESS
+                results = [result_from_plan(s, Plan(s).run(through=spec.through),
+                                            through=spec.through)
+                           for s in spec.scenarios(fast=True)]
+                out = spec.aggregate(results, fast=True)
         finally:
             cache.enabled = prev
         assert not out.errors

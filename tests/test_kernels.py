@@ -14,7 +14,6 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.cluster import FlowInjector
 from repro.constants import FLOW_TOL
 from repro.core.mcf_link import solve_link_mcf
 from repro.engine import (
@@ -26,6 +25,7 @@ from repro.engine import (
     get_backend,
 )
 from repro.perf import (
+    DeltaProgram,
     FillWorkspace,
     fill_kernel_name,
     fill_rates_csr,
@@ -151,25 +151,33 @@ class TestKernelDifferential:
 
     @pytest.mark.parametrize("kernel", ["numpy", "python-csr"])
     def test_cluster_injector_fills_agree(self, kernel):
-        """Injected/retired cluster programs fill identically on all kernels."""
+        """Appended/compacted cluster arenas fill identically on all kernels."""
         topo = hypercube(3)
         fabric = cerio_hpc_fabric()
         rng = random.Random(23)
         set_fill_kernel(kernel)
-        injector = FlowInjector(topo, fabric)
-        injector.inject(_random_flows(topo, rng, 10, zero_fraction=0.0), "a")
-        rates_a, _ = injector.fill()
-        injector.inject(_random_flows(topo, rng, 10, zero_fraction=0.0), "b")
-        rates_b, _ = injector.fill()
-        # Compare against a kernel-independent fresh numpy fill.
-        program = injector.program()
-        expect, _ = fill_rates_numpy(
-            program, np.ones(program.num_flows, dtype=bool))
-        np.testing.assert_allclose(rates_b, expect, rtol=1e-9, atol=1e-9)
-        # Drain set "a" and retire it; survivors keep filling consistently.
-        injector.advance(np.full(injector.num_flows, 1e12), 1.0)
-        injector.retire()
-        assert injector.num_flows == 0
+        arena = DeltaProgram(topo, fabric)
+        arena.append(_random_flows(topo, rng, 10, zero_fraction=0.0), "a")
+        arena.append(_random_flows(topo, rng, 10, zero_fraction=0.0), "b")
+        # Compare against kernel-independent fresh numpy fills.
+        fresh = compile_flows(topo, [FluidFlow(path=p, size_bytes=1.0)
+                                     for p in arena._encoded], fabric)
+        live = np.ones(arena.num_flows, dtype=bool)
+        rates = run_fill(arena.program, live, arena.workspace)[0]
+        np.testing.assert_allclose(rates, fill_rates_numpy(fresh, live)[0],
+                                   rtol=1e-9, atol=1e-9)
+        # Retire set "a": its rows fill at rate zero while masked.
+        live[:10] = False
+        rates = run_fill(arena.program, live, arena.workspace)[0]
+        assert (rates[:10] == 0.0).all() and (rates[10:] > 0).all()
+        # Retire three more: dead rows outnumber live ones, so they are
+        # compacted away and the survivors still fill identically.
+        live[10:13] = False
+        expect = fill_rates_numpy(fresh, live)[0][live]
+        assert arena.compact(live) and arena.num_flows == 7
+        rates = run_fill(arena.program, np.ones(7, dtype=bool),
+                         arena.workspace)[0]
+        np.testing.assert_allclose(rates, expect, rtol=1e-9, atol=1e-9)
 
     def test_exact_tie_bottlenecks_identical_rounds(self):
         """Adversarial exact ties: every kernel groups them in one round.

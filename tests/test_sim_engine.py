@@ -10,11 +10,13 @@ import random
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.experiments import Plan, Scenario
 from repro.simulator import (
     FabricModel,
+    FluidDriver,
     FluidFlow,
     cerio_hpc_fabric,
     compile_flows,
@@ -151,6 +153,157 @@ class TestEngineCore:
         assert counters["events"] >= 1
         reset_engine_counters()
         assert engine_counters()["simulations"] == 0
+
+
+def _sub_ulp_case():
+    """Four flows on ring link (0, 1), one a single ulp larger than the rest.
+
+    Each gets a quarter of the link, so the three equal flows finish at
+    exactly t = 1e6 s.  The fourth is left with ``np.spacing(S)`` bytes,
+    which drain in less than one ulp of the clock: without the relative
+    edge window its completion edge would never advance time.
+    """
+    topo = ring(4)
+    fabric = FabricModel()
+    bw = compile_flows(topo, [FluidFlow(path=(0, 1), size_bytes=1.0)],
+                       fabric).res_cap[0]
+    size = bw / 4 * 1e6
+    sizes = [size] * 3 + [size + np.spacing(size)]
+    expect = 1e6 + fabric.per_message_overhead + fabric.per_hop_latency
+    return topo, fabric, size, sizes, expect
+
+
+class TestCompletionRule:
+    """One completion rule (the edge window) in every simulator."""
+
+    def test_sub_ulp_edge_executes_in_one_event(self):
+        topo, fabric, _, sizes, expect = _sub_ulp_case()
+        res = simulate_flows(topo, [FluidFlow(path=(0, 1), size_bytes=s)
+                                    for s in sizes], fabric, max_rounds=200)
+        assert res.events_processed == 1
+        assert res.completion_time == expect
+        assert res.flow_completion_times == [expect] * 4
+
+    def _schedule(self, topo, size):
+        """The same flows as a routed schedule: chunks of a 4·size shard."""
+        from repro.schedule.ir import Chunk, RouteAssignment, RoutedSchedule
+
+        his = [0.25] * 3 + [0.25 + 2.0 ** -54]   # the last: one ulp more
+        assignments = [RouteAssignment(chunk=Chunk(0, 1, 0.0, hi), route=(0, 1))
+                       for hi in his]
+        schedule = RoutedSchedule(topology=topo, assignments=assignments)
+        sizes = [a.chunk.bytes(4 * size) for a in assignments]
+        assert sizes[:3] == [size] * 3 and sizes[3] == size + np.spacing(size)
+        return schedule, 4 * 4 * size             # buffer = nodes x shard
+
+    def test_sub_ulp_edge_in_faulted_run(self):
+        from repro.faults import run_faulted
+
+        topo, fabric, size, _, expect = _sub_ulp_case()
+        schedule, buffer = self._schedule(topo, size)
+        res = run_faulted(schedule, buffer, "faults:down=2~3@1s:up@2s",
+                          fabric=fabric, validate=False, max_events=200)
+        assert res.meta["fault_events"] == 2
+        assert res.meta["events"] == 2 + 1        # two epochs, one edge
+        assert res.completion_time == pytest.approx(expect, rel=1e-12)
+
+    def test_sub_ulp_edge_in_cluster_run(self):
+        from repro.cluster import run_cluster
+
+        topo, fabric, size, _, expect = _sub_ulp_case()
+        schedule, buffer = self._schedule(topo, size)
+        res = run_cluster(schedule, "cluster:jobs=1", fabric=fabric,
+                          default_buffer=buffer, validate=False,
+                          max_events=200)
+        # arrival, the zero-second compute barrier, one edge, comm barrier
+        assert res.events == 4
+        assert res.jobs[0].finish == expect
+        assert res.jobs[0].slowdown == 1.0
+
+
+class TestFluidDriver:
+    """Snapshot / restore of the shared fluid loop."""
+
+    @staticmethod
+    def _program():
+        topo = hypercube(3)
+        flows = _random_flows(topo, random.Random(7), 40)
+        return compile_flows(topo, flows, cerio_hpc_fabric())
+
+    @staticmethod
+    def _edges(program, count):
+        """The first ``count`` completion-edge instants of a plain run."""
+        probe = FluidDriver(program)
+        probe.refill()
+        edges = []
+        for _ in range(count):
+            edges.append(probe.snapshot().edge_at)
+            probe.run(until=np.nextafter(edges[-1], np.inf))
+        return edges
+
+    @staticmethod
+    def _with_epochs(driver, at, log):
+        """Park the largest flow at ``at``; release it at ``2 * at``."""
+        victim = int(np.argmax(driver.remaining))
+
+        def epoch(park):
+            log.append((driver.queue.now, int(driver.active.sum())))
+            driver.advance()
+            driver.parked[victim] = park
+            driver.refill()
+
+        driver.queue.schedule_at(at, lambda: epoch(True))
+        driver.queue.schedule_at(2 * at, lambda: epoch(False))
+
+    @staticmethod
+    def _outcome(driver):
+        return (driver.completion.tolist(), driver.fill_rounds, driver.events)
+
+    @pytest.mark.parametrize("where", ["between-edges", "on-edge"])
+    def test_restore_resumes_bit_identically(self, where):
+        program = self._program()
+        first, second = self._edges(program, 2)
+        at = first if where == "on-edge" else 0.5 * (first + second)
+
+        whole_log = []
+        whole = FluidDriver(program)
+        self._with_epochs(whole, at, whole_log)
+        whole.refill()
+        whole.run()
+
+        head = FluidDriver(program)
+        head.refill()
+        head.run(until=at)
+        assert head.queue.now == at
+        snap = head.snapshot()
+        resumed_log = []
+        resumed = FluidDriver(program)
+        resumed.restore(snap)
+        self._with_epochs(resumed, at, resumed_log)
+        resumed.run()
+
+        assert self._outcome(resumed) == self._outcome(whole)
+        assert resumed_log == whole_log
+        if where == "on-edge":
+            # The epoch at the edge instant fired before the edge retired
+            # anything, in both runs.
+            assert whole_log[0] == (at, int((program.sizes > 0).sum()))
+
+    def test_restore_credits_only_the_resumed_work(self):
+        program = self._program()
+        at = self._edges(program, 2)[1]
+        reset_engine_counters()
+        head = FluidDriver(program)
+        head.refill()
+        head.run(until=at)
+        resumed = FluidDriver(program)
+        resumed.restore(head.snapshot())
+        resumed.run()
+        counters = engine_counters()
+        assert counters["simulations"] == 2
+        assert counters["fill_rounds"] == resumed.fill_rounds
+        assert counters["events"] == resumed.events
+        reset_engine_counters()
 
 
 class TestDegradedFabricModel:
