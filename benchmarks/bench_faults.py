@@ -20,8 +20,6 @@ Asserted acceptance gates:
   1e-9, identical reroute counts and worst sets (the fill kernels never
   read flow sizes, so delta-masked programs fill bit-identically to
   recompiled survivor programs);
-* the serial and ``jobs=4`` adversarial searches return identical
-  evaluation tables (order-preserving merge);
 * the delta engine is at least 3x faster than the recompile oracle
   (``tests/oracles/recompile.py``) on both legs.
 
@@ -86,15 +84,13 @@ def test_faulted_delta_throughput(record, record_json, scale):
         return run(lowered, BUFFER, spec, fabric=fabric,
                    validate=False, context=context)
 
-    def adversarial(jobs=1):
+    def adversarial():
         return worst_case_failures(lowered, BUFFER, k=1, fabric=fabric,
                                    at=ADV_AT, candidates=ADV_CANDIDATES,
-                                   mode="exhaustive", jobs=jobs,
-                                   context=context)
+                                   mode="exhaustive", context=context)
 
     run_delta, run_delta_s = _best_of(faulted)
     adv_delta, adv_delta_s = _best_of(adversarial)
-    adv_jobs = adversarial(jobs=4)
     run_oracle, run_oracle_s = _best_of(lambda: faulted(run_faulted_recompile))
     with recompile_oracle():
         adv_oracle, adv_oracle_s = _best_of(adversarial)
@@ -110,11 +106,6 @@ def test_faulted_delta_throughput(record, record_json, scale):
         assert ev_d["links"] == ev_o["links"]
         assert abs(ev_d["slowdown"] - ev_o["slowdown"]) <= 1e-9
         assert ev_d["reroute_count"] == ev_o["reroute_count"]
-
-    # Deterministic parallel merge: jobs=4 is identical to serial.
-    assert adv_jobs.worst_links == adv_delta.worst_links
-    assert [(ev["links"], ev["slowdown"]) for ev in adv_jobs.evaluations] == \
-           [(ev["links"], ev["slowdown"]) for ev in adv_delta.evaluations]
 
     run_speedup = run_oracle_s / run_delta_s
     adv_speedup = adv_oracle_s / adv_delta_s

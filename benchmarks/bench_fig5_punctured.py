@@ -27,7 +27,7 @@ def _throughput(schedule):
     return throughput_sweep(routed, [BUFFER], fabric=FABRIC)[0].throughput
 
 
-def _run_envelopes(make_instance, num_instances, record, label, benchmark, runner):
+def _run_envelopes(make_instance, num_instances, record, label, benchmark):
     per_scheme = {"MCF-extP/C": [], "ILP-disjoint/C": [], "SSSP/C": []}
 
     def run_seed(seed):
@@ -37,9 +37,7 @@ def _run_envelopes(make_instance, num_instances, record, label, benchmark, runne
                 _throughput(sssp_schedule(topo)))
 
     def run_all():
-        # Instances are independent; the shared runner samples them
-        # concurrently when REPRO_BENCH_JOBS > 1, keeping seed order.
-        for mcf, ilp, sssp in runner.map(run_seed, range(num_instances)):
+        for mcf, ilp, sssp in map(run_seed, range(num_instances)):
             per_scheme["MCF-extP/C"].append(mcf)
             per_scheme["ILP-disjoint/C"].append(ilp)
             per_scheme["SSSP/C"].append(sssp)
@@ -56,25 +54,23 @@ def _run_envelopes(make_instance, num_instances, record, label, benchmark, runne
     return per_scheme
 
 
-def test_fig5_edge_punctured_torus(benchmark, record, scale, runner):
+def test_fig5_edge_punctured_torus(benchmark, record, scale):
     dims = [3, 3, 3] if scale == "paper" else [3, 3]
     removed = 3 if scale == "paper" else 2
     instances = 10 if scale == "paper" else 3
     per_scheme = _run_envelopes(
         lambda seed: edge_punctured_torus(dims, num_removed=removed, seed=seed),
-        instances, record, f"edge-punctured torus {'x'.join(map(str, dims))}", benchmark,
-        runner)
+        instances, record, f"edge-punctured torus {'x'.join(map(str, dims))}", benchmark)
     for mcf, sssp in zip(per_scheme["MCF-extP/C"], per_scheme["SSSP/C"]):
         assert mcf >= sssp * 0.99
 
 
-def test_fig5_node_punctured_torus(benchmark, record, scale, runner):
+def test_fig5_node_punctured_torus(benchmark, record, scale):
     dims = [3, 3, 3] if scale == "paper" else [3, 3]
     removed = 3 if scale == "paper" else 2
     instances = 10 if scale == "paper" else 3
     per_scheme = _run_envelopes(
         lambda seed: node_punctured_torus(dims, num_removed=removed, seed=seed),
-        instances, record, f"node-punctured torus {'x'.join(map(str, dims))}", benchmark,
-        runner)
+        instances, record, f"node-punctured torus {'x'.join(map(str, dims))}", benchmark)
     for mcf, sssp in zip(per_scheme["MCF-extP/C"], per_scheme["SSSP/C"]):
         assert mcf >= sssp * 0.99

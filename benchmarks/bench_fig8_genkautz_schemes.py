@@ -31,7 +31,7 @@ from repro.topology import generalized_kautz
 DEGREE = 4
 
 
-def test_fig8_normalized_alltoall_time(benchmark, record, scale, runner):
+def test_fig8_normalized_alltoall_time(benchmark, record, scale):
     sizes = [25, 50, 75, 100] if scale == "paper" else [16, 24, 32]
     ilp_limit = 50 if scale == "paper" else 24
 
@@ -57,9 +57,7 @@ def test_fig8_normalized_alltoall_time(benchmark, record, scale, runner):
         return n, normalize_times(times, reference)
 
     def run_sweep():
-        # Sizes are independent; the shared runner solves them concurrently
-        # when REPRO_BENCH_JOBS > 1 and keeps input order either way.
-        for n, normalized in runner.map(run_size, sizes):
+        for n, normalized in map(run_size, sizes):
             per_size[n] = normalized
             for name, value in normalized.items():
                 rows.append([name, n, value])

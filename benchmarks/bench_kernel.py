@@ -10,7 +10,7 @@ engine's per-event refills.
 Asserted acceptance gates:
 
 * every kernel's rates agree with the numpy path within 1e-9 and the full
-  simulation agrees with the scalar ``reference.py`` oracle within 1e-9;
+  simulation agrees with the scalar ``tests/oracles/reference.py`` oracle within 1e-9;
 * with numba installed, the JIT kernel is at least 5x faster than the
   numpy path (skipped, not failed, where numba is absent — the fallback
   is the point of the auto-selection).
@@ -24,7 +24,9 @@ reports as a new (ungated) entry on runners that have the compiler.
 """
 
 import random
+import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -42,9 +44,11 @@ from repro.simulator import (
     cerio_hpc_fabric,
     compile_flows,
     simulate_flows,
-    simulate_flows_reference,
 )
 from repro.topology import random_regular
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles.reference import simulate_flows_reference  # noqa: E402
 
 MIN_JIT_SPEEDUP = 5.0
 FILL_REPS = 30

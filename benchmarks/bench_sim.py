@@ -5,7 +5,7 @@ regular graph routed along one shortest path, with heterogeneous sizes so
 completions spread over many progressive-filling rounds) on the Cerio-like
 HPC fabric, once on the vectorized engine
 (:func:`repro.simulator.simulate_flows`) and once on the retained scalar
-reference (:func:`repro.simulator.simulate_flows_reference`).
+reference (``simulate_flows_reference`` in ``tests/oracles/reference.py``).
 
 Asserted acceptance gates:
 
@@ -20,18 +20,18 @@ perf-smoke job uploads it and gates it against
 """
 
 import random
+import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 
 from repro.analysis import format_table
-from repro.simulator import (
-    FluidFlow,
-    cerio_hpc_fabric,
-    simulate_flows,
-    simulate_flows_reference,
-)
+from repro.simulator import FluidFlow, cerio_hpc_fabric, simulate_flows
 from repro.topology import random_regular
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles.reference import simulate_flows_reference  # noqa: E402
 
 MIN_SPEEDUP = 5.0
 

@@ -12,7 +12,9 @@ content hash already has a record).
 The same sweep is available from the command line::
 
     python -m repro.cli sweep --grid examples/sweep_grid.json \
-        --out results.jsonl --jobs 2 --resume
+        --out results.jsonl --resume
+
+(add ``--workers N`` to spread the scenarios over N worker processes).
 
 Run:  python examples/declarative_sweep.py
 """
@@ -34,7 +36,7 @@ def main() -> None:
           f"({' x '.join(f'{k}={len(v)}' for k, v in grid.axes.items())})")
 
     out = os.path.join(tempfile.mkdtemp(prefix="repro-sweep-"), "results.jsonl")
-    results = run_sweep(scenarios, out_path=out, jobs=2)
+    results = run_sweep(scenarios, out_path=out)
 
     rows = []
     for res in results:
@@ -52,7 +54,7 @@ def main() -> None:
     # Re-running the same grid is free: every scenario resumes from its
     # JSONL record, and even without the file the stage/LP caches serve it.
     misses_before = get_engine().cache.misses
-    rerun = run_sweep(scenarios, out_path=out, jobs=2, resume=True)
+    rerun = run_sweep(scenarios, out_path=out, resume=True)
     stats = sweep_stats(rerun)
     print(f"re-run: {stats['resumed']} of {stats['scenarios']} scenarios resumed "
           f"from JSONL, {get_engine().cache.misses - misses_before} new LP solves")

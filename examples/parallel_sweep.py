@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Multiprocess sweep: work-stealing workers + shared-memory artifacts.
 
-The thread-based sweep (``run_sweep(jobs=N)``) parallelises I/O-ish work but
-LP assembly and the simulator still contend on the GIL.  This example runs
-the same grid — overlap x degradation x scheme on a hypercube, so several
+Worker processes are the program's one form of parallelism.  This example
+runs a grid — overlap x degradation x scheme on a hypercube, so several
 scenarios share hot synthesize/lower artifacts — through the work-stealing
-multiprocess executor instead, and prints the executor accounting the CLI
+multiprocess executor, and prints the executor accounting the CLI
 surfaces in its ``[stats] ... exec:`` footer: per-worker completed counts,
 steals, shared-artifact plane hits, scenarios/sec.
 

@@ -1,11 +1,11 @@
-"""Scheme registry and comparison sweeps.
+"""Scheme lookup and comparison sweeps.
 
-The registry of named schedule-generation schemes (the algorithms compared in
-the paper's figures) plus :func:`compare_schemes`, which since the
-declarative experiment layer landed is a thin wrapper: each scheme becomes
-one :class:`~repro.experiments.Scenario` and the batch executes through
-:func:`~repro.experiments.run_scenarios` (same ordering, same error capture,
-same parallel semantics as before).
+Thin helpers over the experiment layer's one scheme registry
+(:data:`repro.experiments.SCHEMES`): :func:`run_scheme` runs a scheme by
+name, and :func:`compare_schemes` turns each scheme into one
+:class:`~repro.experiments.Scenario` and runs the batch through
+:func:`~repro.experiments.run_sweep` (same ordering, same error capture;
+``workers=N`` spreads the schemes across worker processes).
 
 All schemes share the engine's solution cache *and* the experiment layer's
 stage-artifact cache, so re-running a comparison on the same topology solves
@@ -15,51 +15,19 @@ no new LPs and re-lowers no schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..baselines import (
-    ilp_disjoint_schedule,
-    ilp_shortest_schedule,
-    native_alltoall_schedule,
-)
-from ..core import (
-    solve_decomposed_mcf,
-    solve_mcf_extract_paths,
-    solve_path_mcf,
-)
-from ..core.mcf_path import PathSchedule
-from ..experiments import Scenario, run_scenarios
-from ..paths import (
-    all_shortest_path_sets,
-    dor_schedule,
-    edge_disjoint_path_sets,
-    ewsp_schedule,
-    sssp_schedule,
-)
+from ..core import solve_decomposed_mcf
+from ..experiments import SCHEMES, Scenario, resolve_scheme, run_sweep
 from ..simulator import FabricModel, cerio_hpc_fabric
 from ..topology.base import Topology
 
-__all__ = ["SchemeResult", "PATH_SCHEMES", "available_schemes", "run_scheme",
-           "compare_schemes"]
+__all__ = ["SchemeResult", "available_schemes", "run_scheme", "compare_schemes"]
 
 
-#: Registry of path-based schemes keyed by the label used in the paper's figures.
-PATH_SCHEMES: Dict[str, Callable[[Topology], PathSchedule]] = {
-    "mcf-extp": solve_mcf_extract_paths,
-    "pmcf-disjoint": lambda t: solve_path_mcf(t, edge_disjoint_path_sets(t)),
-    "pmcf-shortest": lambda t: solve_path_mcf(
-        t, all_shortest_path_sets(t, limit_per_pair=16)),
-    "ewsp": ewsp_schedule,
-    "sssp": sssp_schedule,
-    "dor": dor_schedule,
-    "native": native_alltoall_schedule,
-    "ilp-disjoint": lambda t: ilp_disjoint_schedule(t, mip_rel_gap=0.05, time_limit=120),
-    "ilp-shortest": lambda t: ilp_shortest_schedule(t, mip_rel_gap=0.05, time_limit=120),
-}
-
-#: Parameters the PATH_SCHEMES lambdas bake in, replayed as ``scheme_params``
-#: when the same scheme runs through the declarative layer so both paths
-#: assemble byte-identical LPs (and therefore share cache entries).
+#: Parameters comparisons pass as ``scheme_params``: the ILP baselines get a
+#: looser gap and a tighter time limit than the library defaults, and
+#: ``pmcf-shortest`` caps its path sets.
 _BAKED_PARAMS: Dict[str, Dict[str, object]] = {
     "pmcf-shortest": {"limit_per_pair": 16},
     "ilp-disjoint": {"mip_rel_gap": 0.05, "time_limit": 120},
@@ -68,8 +36,8 @@ _BAKED_PARAMS: Dict[str, Dict[str, object]] = {
 
 
 def available_schemes() -> List[str]:
-    """Names of all registered path-based schemes."""
-    return sorted(PATH_SCHEMES.keys())
+    """Names of all registered schemes."""
+    return sorted(SCHEMES)
 
 
 @dataclass
@@ -84,11 +52,11 @@ class SchemeResult:
     error: Optional[str] = None
 
 
-def run_scheme(scheme: str, topology: Topology) -> PathSchedule:
-    """Run a registered scheme by name."""
-    if scheme not in PATH_SCHEMES:
-        raise KeyError(f"unknown scheme {scheme!r}; available: {available_schemes()}")
-    return PATH_SCHEMES[scheme](topology)
+def run_scheme(scheme: str, topology: Topology):
+    """Run a registered scheme by name, with the comparison parameters."""
+    scenario = Scenario(topology=topology, scheme=scheme,
+                        scheme_params=_BAKED_PARAMS.get(scheme, {}))
+    return resolve_scheme(scenario, topology)
 
 
 def compare_schemes(topology: Topology, schemes: Sequence[str],
@@ -96,7 +64,7 @@ def compare_schemes(topology: Topology, schemes: Sequence[str],
                     fabric: Optional[FabricModel] = None,
                     normalize: bool = True,
                     skip_failures: bool = True,
-                    jobs: int = 1) -> List[SchemeResult]:
+                    workers: int = 1) -> List[SchemeResult]:
     """Run several schemes on a topology and collect comparable metrics.
 
     Parameters
@@ -110,10 +78,13 @@ def compare_schemes(topology: Topology, schemes: Sequence[str],
     skip_failures:
         If True, a scheme that raises (e.g. DOR on a non-torus) produces a
         :class:`SchemeResult` with the ``error`` field set instead of aborting
-        the whole comparison.
-    jobs:
-        Number of schemes evaluated concurrently (threads; HiGHS releases the
-        GIL during solves).  Results keep the order of ``schemes`` regardless.
+        the whole comparison.  If False, the failure is raised: the original
+        exception when it ran in this process, else a ``RuntimeError``
+        carrying the recorded message.
+    workers:
+        Worker processes the schemes are spread across
+        (``run_sweep(workers=N)``).  Results keep the order of ``schemes``
+        and are identical to a serial run.
     """
     fabric = fabric or cerio_hpc_fabric()
     reference = None
@@ -126,13 +97,15 @@ def compare_schemes(topology: Topology, schemes: Sequence[str],
                           fabric=fabric, buffers=buffers, max_denominator=16)
                  for name in schemes]
     through = "simulate" if buffers else "synthesize"
-    results = run_scenarios(scenarios, jobs=jobs, through=through)
+    results = run_sweep(scenarios, through=through, workers=workers)
 
     out: List[SchemeResult] = []
     for name, res in zip(schemes, results):
         if res.status == "error":
             if not skip_failures:
-                raise res.exception
+                if res.exception is not None:
+                    raise res.exception
+                raise RuntimeError(res.error)
             out.append(SchemeResult(scheme=name, concurrent_flow=0.0,
                                     all_to_all_time=float("inf"), error=res.error))
             continue

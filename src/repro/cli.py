@@ -100,7 +100,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         forwarding=(ForwardingModel.NIC if _fabric(args.fabric).nic_forwarding
                     else ForwardingModel.HOST),
         host_bandwidth=args.host_bandwidth,
-        n_jobs=args.jobs,
+        n_jobs=args.workers,
     )
     schedule = generate_schedule(topo, request)
     if isinstance(schedule, TimeSteppedFlow):
@@ -154,8 +154,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("no topology: pass it positionally or via --set topology=...")
     scenario = Scenario.from_dict(base)
 
-    results = run_sweep([scenario], out_path=args.out, resume=args.resume,
-                        n_jobs=args.jobs)
+    results = run_sweep([scenario], out_path=args.out, resume=args.resume)
     res = results[0]
     if res.status == "error":
         print(f"error: {res.scenario.label()}: {res.error}")
@@ -202,14 +201,16 @@ def _print_engine_stats(extra: str = "", executor_stats=None) -> None:
     (hit counts and wall-clock seconds legitimately differ run to run).
     The format itself lives in :func:`repro.analysis.format_engine_footer`,
     shared by every subcommand that prints the footer.  ``executor_stats``
-    (multiprocess sweeps) adds the ``exec:`` counters section.
+    (an :class:`~repro.experiments.ExecutorStats` from a ``--workers`` run)
+    adds the ``exec:`` counters section.
     """
     from .engine import get_engine
     from .simulator import engine_counters
 
     print(format_engine_footer(get_engine().stats(), get_plan_cache().stats(),
                                extra, sim_stats=engine_counters(),
-                               executor_stats=executor_stats),
+                               executor_stats=(executor_stats.to_dict()
+                                               if executor_stats else None)),
           file=sys.stderr)
 
 
@@ -218,7 +219,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     schemes = args.schemes.split(",") if args.schemes else ["mcf-extp", "ewsp", "sssp", "native"]
     buffers = _buffer_list(args.buffers) if args.buffers else None
     results = compare_schemes(topo, schemes, buffer_sizes=buffers, fabric=_fabric(args.fabric),
-                              jobs=args.jobs)
+                              workers=args.workers)
     rows = []
     for r in results:
         if r.error:
@@ -229,7 +230,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                      " ".join(f"{tp / 1e9:.2f}" for tp in r.throughputs.values()) or "-"])
     print(format_table(["scheme", "all-to-all time", "vs MCF", "throughput GB/s"],
                        rows, title=f"Scheme comparison on {topo.name}"))
-    _print_engine_stats()
+    exec_stats = last_executor_stats() if args.workers > 1 else None
+    _print_engine_stats(executor_stats=exec_stats)
     return 0
 
 
@@ -239,7 +241,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     Each trace spec (``cluster:jobs=4:arrival=poisson~2000:placement=packed``)
     becomes one cluster scenario on the given topology/scheme/fabric, executed
     through :func:`~repro.experiments.run_sweep` — so ``--out`` emits
-    sweep-compatible JSONL and ``--resume``/``--jobs``/``--workers`` behave
+    sweep-compatible JSONL and ``--resume``/``--workers`` behave
     exactly as in ``repro sweep``.  Traces share the synthesized schedule
     (the trace enters the simulate stage key only).
     """
@@ -256,9 +258,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         scenarios.append(Scenario.from_dict(base))
 
     try:
-        results = run_sweep(scenarios, out_path=args.out, jobs=args.jobs,
-                            resume=args.resume, n_jobs=args.lp_jobs,
-                            workers=args.workers)
+        results = run_sweep(scenarios, out_path=args.out,
+                            resume=args.resume, workers=args.workers)
     except RuntimeError as exc:
         print(f"error: {exc}")
         return 1
@@ -297,7 +298,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     _print_engine_stats(
         f"traces: {totals['ok']} ok / {totals['errors']} error "
         f"({totals['resumed']} resumed)",
-        executor_stats=exec_stats.to_dict() if exec_stats else None)
+        executor_stats=exec_stats)
     return 1 if totals["errors"] else 0
 
 
@@ -327,8 +328,12 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     failures = []
     results = []
     if scenarios:
-        results = run_sweep(scenarios, out_path=args.out, jobs=args.jobs,
-                            resume=args.resume, n_jobs=args.lp_jobs)
+        try:
+            results = run_sweep(scenarios, out_path=args.out,
+                                resume=args.resume, workers=args.workers)
+        except RuntimeError as exc:
+            print(f"error: {exc}")
+            return 1
         rows = []
         for res, spec in zip(results, specs):
             if res.status == "error":
@@ -362,13 +367,12 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         scenario = Scenario.from_dict({
             "topology": args.topology, "scheme": args.scheme,
             "fabric": args.fabric, "buffers": (float(args.buffer),)})
-        plan = Plan(scenario, n_jobs=args.lp_jobs)
+        plan = Plan(scenario)
         lowered = plan.run("validate").lowered
         adv = worst_case_failures(
             lowered, float(args.buffer), k=args.adversarial,
             fabric=scenario.resolved_fabric(), at=args.at,
-            candidates=args.candidates, mode=args.mode, seed=args.seed,
-            jobs=args.jobs)
+            candidates=args.candidates, mode=args.mode, seed=args.seed)
         rows = []
         for ev in adv.evaluations:
             if len(ev["links"]) != adv.k:
@@ -390,10 +394,11 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
                        else f"slowdown {adv.worst_slowdown:.4f}")
         print(f"worst case: down={worst} -> {worst_label}")
 
-    totals = sweep_stats(results) if results else None
+    exec_stats = last_executor_stats() if results and args.workers > 1 else None
+    totals = sweep_stats(results, executor=exec_stats) if results else None
     extra = (f"faults: {totals['ok']} ok / {totals['errors']} error "
              f"({totals['resumed']} resumed)" if totals else "")
-    _print_engine_stats(extra)
+    _print_engine_stats(extra, executor_stats=exec_stats)
     return 1 if failures else 0
 
 
@@ -416,9 +421,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scenarios = grid.scenarios()
 
     try:
-        results = run_sweep(scenarios, out_path=args.out, jobs=args.jobs,
-                            resume=args.resume, n_jobs=args.lp_jobs,
-                            workers=args.workers)
+        results = run_sweep(scenarios, out_path=args.out,
+                            resume=args.resume, workers=args.workers)
     except RuntimeError as exc:
         # A died worker: partial results are merged and resumable; surface
         # the message and the standard nonzero exit instead of a traceback.
@@ -458,7 +462,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"scenarios: {totals['ok']} ok / {totals['errors']} error "
         f"({totals['resumed']} resumed); "
         f"assemble {totals['assemble_seconds']:.3f}s solve {totals['solve_seconds']:.3f}s",
-        executor_stats=exec_stats.to_dict() if exec_stats else None)
+        executor_stats=exec_stats)
     return 1 if totals["errors"] else 0
 
 
@@ -479,7 +483,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown artifact(s) {unknown}; "
                              f"available: {', '.join(available_specs())}")
     summary = generate_report(out_dir=args.out, only=only, fast=args.fast,
-                              jobs=args.jobs, n_jobs=args.lp_jobs,
                               resume=args.resume, workers=args.workers)
     rows = [[sr.spec_id, sr.kind, sr.status, round(sr.seconds, 3),
              sr.num_scenarios, sr.num_resumed]
@@ -496,7 +499,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"artifacts: {sum(1 for sr in summary.spec_results if sr.status == 'ok')} ok "
         f"/ {sum(1 for sr in summary.spec_results if sr.status == 'error')} error; "
         f"new LP solves: {summary.provenance.get('new_lp_solves', 0)}",
-        executor_stats=exec_stats.to_dict() if exec_stats else None)
+        executor_stats=exec_stats)
     return 1 if summary.errors else 0
 
 
@@ -522,7 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--host-bandwidth", type=float, default=None,
                        help="host injection bandwidth in link units (triggers Fig. 2 augmentation)")
     p_syn.add_argument("--output", "-o", default=None, help="write the lowered XML here")
-    p_syn.add_argument("--jobs", type=int, default=1, help="parallel child-LP workers")
+    p_syn.add_argument("--workers", type=int, default=1,
+                       help="worker processes for the decomposed MCF's "
+                            "per-source child LPs")
     p_syn.set_defaults(func=_cmd_synthesize)
 
     p_sim = sub.add_parser(
@@ -561,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["auto", "numba", "numpy", "python-csr"],
                        help="fill kernel (default: REPRO_KERNEL env or auto; "
                             "numba falls back to numpy when not installed)")
-    p_sim.add_argument("--jobs", type=int, default=1,
-                       help="parallel child-LP workers for the decomposed MCF")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="compare schemes on a topology")
@@ -571,8 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"comma-separated scheme names from: {', '.join(available_schemes())}")
     p_cmp.add_argument("--buffers", default=None)
     p_cmp.add_argument("--fabric", default="hpc")
-    p_cmp.add_argument("--jobs", type=int, default=1,
-                       help="schemes evaluated concurrently (output is identical to serial)")
+    p_cmp.add_argument("--workers", type=int, default=1,
+                       help="worker processes the schemes are spread across "
+                            "(output is identical to serial)")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_clu = sub.add_parser(
@@ -603,12 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSONL results file (appended to, one record per trace)")
     p_clu.add_argument("--resume", action="store_true",
                        help="skip traces whose key already has an ok record in --out")
-    p_clu.add_argument("--jobs", type=int, default=1,
-                       help="traces executed concurrently (threads)")
     p_clu.add_argument("--workers", type=int, default=1,
                        help="work-stealing worker processes (as in repro sweep)")
-    p_clu.add_argument("--lp-jobs", type=int, default=1,
-                       help="child-LP workers within each scenario")
     p_clu.set_defaults(func=_cmd_cluster)
 
     p_rob = sub.add_parser(
@@ -654,11 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rob.add_argument("--resume", action="store_true",
                        help="skip fault specs whose key already has an ok "
                             "record in --out")
-    p_rob.add_argument("--jobs", type=int, default=1,
-                       help="fault scenarios (and adversarial candidate "
-                            "evaluations) executed concurrently (threads)")
-    p_rob.add_argument("--lp-jobs", type=int, default=1,
-                       help="child-LP workers within each scenario")
+    p_rob.add_argument("--workers", type=int, default=1,
+                       help="work-stealing worker processes for the fault "
+                            "scenarios (as in repro sweep)")
     p_rob.set_defaults(func=_cmd_robustness)
 
     p_swp = sub.add_parser(
@@ -684,11 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--workers", type=int, default=1,
                        help="work-stealing worker processes (per-worker "
                             "resumable shards + shared artifact plane); "
-                            "1 keeps the in-process path")
-    p_swp.add_argument("--jobs", type=int, default=1,
-                       help="scenarios executed concurrently")
-    p_swp.add_argument("--lp-jobs", type=int, default=1,
-                       help="child-LP workers within each scenario")
+                            "1 runs every scenario in this process")
     p_swp.add_argument("--resume", action="store_true",
                        help="skip scenarios whose key already has an ok record in --out")
     p_swp.set_defaults(func=_cmd_sweep)
@@ -710,11 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report output directory (default: report/)")
     p_rep.add_argument("--workers", type=int, default=1,
                        help="work-stealing worker processes per artifact "
-                            "sweep (1 keeps the in-process path)")
-    p_rep.add_argument("--jobs", type=int, default=1,
-                       help="scenarios executed concurrently")
-    p_rep.add_argument("--lp-jobs", type=int, default=1,
-                       help="child-LP workers within each scenario")
+                            "sweep (1 runs every scenario in this process)")
     p_rep.add_argument("--resume", action="store_true",
                        help="reuse completed records from a previous run's "
                             "data/*.jsonl instead of starting fresh")

@@ -292,7 +292,7 @@ def solve_decomposed_mcf(topology: Topology, repair: bool = True,
     destinations = None if terminals is None else sorted(set(terminals))
     args = [(topology, s, master.grouped_flows[s], master.concurrent_flow, destinations)
             for s in sources]
-    runner = ParallelRunner(jobs=n_jobs, mode="process")
+    runner = ParallelRunner(jobs=n_jobs)
     for source, child_flows, elapsed in runner.map(_child_worker, args):
         flows.update(child_flows)
         timings.child_seconds_each.append(elapsed)

@@ -278,7 +278,7 @@ def solve_timestepped_mcf_decomposed(topology: Topology, num_steps: Optional[int
 
     args = [(topology, s, sorted({d for src, d in commodities if src == s}),
              grouped[s], steps) for s in sources]
-    runner = ParallelRunner(jobs=n_jobs, mode="process")
+    runner = ParallelRunner(jobs=n_jobs)
     flows: Dict[Commodity, Dict[Tuple[int, int, int], float]] = {}
     child_seconds: List[float] = []
     for s, child_flows, elapsed in runner.map(_ts_child_worker, args):

@@ -8,8 +8,8 @@ Layering (each layer only knows the one below it):
   implementations (scipy/HiGHS variants ship by default);
 * **Cache** (:mod:`.cache`) — content-addressed :class:`SolutionCache`
   keyed by ``(topology.canonical_hash(), formulation, params)``;
-* **Execution** (:mod:`.runner`) — :class:`ParallelRunner`, the shared
-  serial/thread/process map used by sweeps, child LPs and benchmarks.
+* **Execution** (:mod:`.runner`) — :class:`ParallelRunner`, the serial or
+  process-pool map the decomposed solvers fan their child LPs out on.
 
 ``engine.solve(problem)`` on the process-wide default engine is the one
 entry point every formulation routes through.
@@ -31,7 +31,7 @@ from .problem import (
     get_formulation,
     register_formulation,
 )
-from .runner import ParallelRunner, run_parallel
+from .runner import ParallelRunner
 
 __all__ = [
     "HighsNativeBackend",
@@ -51,5 +51,4 @@ __all__ = [
     "get_formulation",
     "register_formulation",
     "ParallelRunner",
-    "run_parallel",
 ]

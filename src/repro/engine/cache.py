@@ -14,8 +14,7 @@ declarative :class:`~repro.experiments.Plan` pipeline.  Payloads exposing a
 ``portable(tol=...)`` method (the :class:`LPSolution` compaction protocol)
 are compacted before storage; anything else is stored as-is.
 
-Thread safe: the sweep layer solves schemes concurrently through
-:class:`~repro.engine.runner.ParallelRunner` threads that share this cache.
+Thread safe: every read and write holds the cache lock.
 """
 
 from __future__ import annotations

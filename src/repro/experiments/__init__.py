@@ -10,8 +10,7 @@ simulator) expressed as data instead of glue code:
   optional ``$REPRO_CACHE_DIR/stages`` disk tier, reusing the engine's
   :class:`~repro.engine.cache.SolutionCache`);
 * :class:`SweepGrid` + :func:`run_sweep` — cartesian scenario grids executed
-  through :class:`~repro.engine.runner.ParallelRunner` with streaming JSONL
-  records, resumable by scenario hash;
+  in order with streaming JSONL records, resumable by scenario hash;
 * :func:`run_sweep_workers` (or ``run_sweep(workers=N)``) — the same sweep
   across work-stealing worker *processes* with per-worker resumable JSONL
   shards, a deterministic hash-sorted merge, and a shared artifact plane
@@ -48,7 +47,6 @@ from .sweep import (
     load_results,
     metrics_from_plan,
     result_from_plan,
-    run_scenarios,
     run_sweep,
     sweep_stats,
     write_csv,
@@ -78,7 +76,6 @@ __all__ = [
     "load_results",
     "metrics_from_plan",
     "result_from_plan",
-    "run_scenarios",
     "run_sweep",
     "sweep_stats",
     "write_csv",

@@ -7,7 +7,7 @@ from the tail of the busiest sibling when idle, and each worker streams one
 JSONL record per completed scenario to its own resumable shard under
 ``<out>.shards/``.  When every worker has drained, the parent merges the
 shards (plus any pre-existing output) into the same single JSONL file the
-thread-based sweep emits: records sorted by scenario hash, duplicate keys
+serial sweep emits: records sorted by scenario hash, duplicate keys
 deduped (``ok`` beats ``error``, first occurrence wins), torn trailing lines
 healed by being skipped.
 
@@ -434,13 +434,13 @@ def merge_shards(out_path: str, shard_dir: str) -> int:
 # --------------------------------------------------------------------------- #
 def _worker_main(worker: int, scenarios: Sequence[Scenario],
                  pending: Sequence[int], ranges, lock, steals,
-                 shard_path: str, through: str, n_jobs: int,
+                 shard_path: str, through: str,
                  plane: Optional[SharedArtifactPlane], result_q,
                  fault: Optional[Mapping[str, int]]) -> None:
     """Worker loop: claim -> execute -> append record -> repeat.
 
     Runs in a child process.  Scenario failures become error records exactly
-    like the thread path (:func:`~repro.experiments.sweep._execute` is
+    like the serial path (:func:`~repro.experiments.sweep._execute` is
     shared); only a crash of the worker itself loses in-flight work, and the
     flushed shard bounds that loss to one scenario.
     """
@@ -457,7 +457,7 @@ def _worker_main(worker: int, scenarios: Sequence[Scenario],
             if claim is None:
                 break
             index, _stolen = claim
-            result = _execute(scenarios[pending[index]], through, None, n_jobs)
+            result = _execute(scenarios[pending[index]], through)
             fh.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
             fh.flush()
             completed += 1
@@ -482,7 +482,7 @@ def _worker_main(worker: int, scenarios: Sequence[Scenario],
 def run_sweep_workers(scenarios: Sequence[Scenario],
                       out_path: Optional[str] = None,
                       workers: int = 2, resume: bool = False,
-                      through: str = "simulate", n_jobs: int = 1,
+                      through: str = "simulate",
                       shared_artifacts: bool = True,
                       shared_backend: str = "auto",
                       fault_injection: Optional[Mapping[str, int]] = None):
@@ -564,7 +564,7 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(i, scenarios, pending, ranges, lock, steals,
-                          shard_files[i], through, n_jobs, plane, result_q,
+                          shard_files[i], through, plane, result_q,
                           fault_injection),
                     name=f"sweep-worker-{i}")
                 proc.start()
@@ -607,7 +607,7 @@ def run_sweep_workers(scenarios: Sequence[Scenario],
             if rec is None:
                 # Hash failure: the worker recorded an empty-key error record;
                 # reconstruct the same error result shape locally.
-                results.append(_execute(scenario, through, None, n_jobs)
+                results.append(_execute(scenario, through)
                                if not key else ScenarioResult(
                                    scenario=scenario, key=key, status="error",
                                    error="record missing after merge"))

@@ -175,15 +175,12 @@ class Plan:
         Stage-artifact cache; defaults to the process-wide one
         (:func:`get_plan_cache`).  Pass ``None``-like disabled caches to
         force recomputation (a plan still reuses its *own* artifacts).
-    n_jobs:
-        Worker count forwarded to scheme synthesis (decomposed child LPs).
     """
 
-    def __init__(self, scenario: Scenario, cache: Optional[SolutionCache] = None,
-                 n_jobs: int = 1) -> None:
+    def __init__(self, scenario: Scenario,
+                 cache: Optional[SolutionCache] = None) -> None:
         self.scenario = scenario
         self.cache = cache if cache is not None else get_plan_cache()
-        self.n_jobs = n_jobs
         self.result = PlanResult(scenario=scenario)
 
     # ------------------------------------------------------------------ #
@@ -229,7 +226,7 @@ class Plan:
         scenario = self.scenario
         if stage == "synthesize":
             topology = scenario.resolved_topology()
-            return resolve_scheme(scenario, topology, n_jobs=self.n_jobs)
+            return resolve_scheme(scenario, topology)
         if stage == "lower":
             schedule = self.result.schedule
             if isinstance(schedule, TimeSteppedFlow):

@@ -17,11 +17,10 @@ two questions:
   stage depends on, so scenarios differing only in buffer sizes share their
   synthesized schedule artifacts.
 
-The scheme registry here is the experiment-facing superset of
-``analysis.sweep.PATH_SCHEMES``: it adds the link-based schemes (``tsmcf``,
-``taccl``) and the ``auto`` scheme that follows the paper's Fig. 1 decision
-flow, and every entry accepts keyword parameters (``scheme_params``) instead
-of baking them in.
+:data:`SCHEMES` is the one scheme registry: the path-based schemes of the
+paper's figures, the link-based ones (``tsmcf``, ``taccl``, ``sccl``) and the
+``auto`` scheme that follows the paper's Fig. 1 decision flow.  Every entry
+accepts keyword parameters (``scheme_params``) instead of baking them in.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def scenario_schema_version() -> int:
 # --------------------------------------------------------------------------- #
 # Scheme registry
 # --------------------------------------------------------------------------- #
-def _auto_scheme(topology: Topology, *, scenario: "Scenario", n_jobs: int = 1):
+def _auto_scheme(topology: Topology, *, scenario: "Scenario"):
     """The paper's Fig. 1 decision flow, driven by scenario knobs."""
     request = SchedulingRequest(
         forwarding=scenario.resolved_forwarding(),
@@ -91,12 +90,11 @@ def _auto_scheme(topology: Topology, *, scenario: "Scenario", n_jobs: int = 1):
         path_diversity_threshold=scenario.path_diversity_threshold,
         max_disjoint_paths=scenario.max_disjoint_paths,
         decompose_ts=scenario.decompose_ts,
-        n_jobs=n_jobs,
     )
     return generate_schedule(topology, request)
 
 
-def _tsmcf_scheme(topology: Topology, *, scenario: "Scenario", n_jobs: int = 1):
+def _tsmcf_scheme(topology: Topology, *, scenario: "Scenario"):
     """Link-based tsMCF, honoring host-bottleneck augmentation and num_steps."""
     request = SchedulingRequest(
         forwarding=ForwardingModel.HOST,
@@ -104,7 +102,6 @@ def _tsmcf_scheme(topology: Topology, *, scenario: "Scenario", n_jobs: int = 1):
         link_bandwidth=scenario.link_bandwidth,
         num_steps=scenario.num_steps,
         decompose_ts=scenario.decompose_ts,
-        n_jobs=n_jobs,
     )
     return generate_schedule(topology, request)
 
@@ -119,8 +116,8 @@ def _pmcf_disjoint(topology: Topology, max_paths: Optional[int] = None):
 
 
 #: Scheme name -> callable.  Entries marked scenario-aware receive the full
-#: scenario (and the plan's ``n_jobs``); plain entries receive the topology
-#: plus ``scheme_params`` as keyword arguments.
+#: scenario; plain entries receive the topology plus ``scheme_params`` as
+#: keyword arguments.
 SCHEMES: Dict[str, Callable] = {
     "auto": _auto_scheme,
     "tsmcf": _tsmcf_scheme,
@@ -146,29 +143,14 @@ def available_scenario_schemes() -> List[str]:
     return sorted(SCHEMES)
 
 
-def resolve_scheme(scenario: "Scenario", topology: Topology, n_jobs: int = 1):
-    """Run the scenario's scheme, returning a schedule object.
-
-    Falls back to ``analysis.sweep.PATH_SCHEMES`` for names registered there
-    but not here (user-registered schemes keep working through the new layer).
-    """
+def resolve_scheme(scenario: "Scenario", topology: Topology):
+    """Run the scenario's scheme, returning a schedule object."""
     name = scenario.scheme
     params = dict(scenario.scheme_params)
     if name in _SCENARIO_AWARE:
-        return SCHEMES[name](topology, scenario=scenario, n_jobs=n_jobs, **params)
+        return SCHEMES[name](topology, scenario=scenario, **params)
     if name in SCHEMES:
         return SCHEMES[name](topology, **params)
-    from ..analysis.sweep import PATH_SCHEMES  # lazy: analysis imports us
-
-    if name in PATH_SCHEMES:
-        if params:
-            # PATH_SCHEMES callables take only the topology; silently dropping
-            # params would leave the scenario hash (and JSONL record) claiming
-            # parameters that never applied.
-            raise ValueError(
-                f"scheme {name!r} (from analysis.sweep.PATH_SCHEMES) does not "
-                f"accept scheme_params; got {sorted(params)}")
-        return PATH_SCHEMES[name](topology)
     raise KeyError(f"unknown scheme {name!r}; available: {available_scenario_schemes()}")
 
 
@@ -216,7 +198,7 @@ class Scenario:
         ``"auto"`` (derive from the fabric's ``nic_forwarding``), ``"host"``
         or ``"nic"``.  Only consulted by the ``auto`` scheme.
     scheme:
-        Scheme name from :data:`SCHEMES` (or ``analysis.sweep.PATH_SCHEMES``).
+        Scheme name from :data:`SCHEMES`.
     scheme_params:
         Keyword arguments for the scheme callable (e.g. ILP gap/time limits).
     host_bandwidth / link_bandwidth / num_steps / path_diversity_threshold /

@@ -1,9 +1,9 @@
 """Grid sweeps with streaming JSONL results and hash-based resume.
 
 :class:`SweepGrid` expands a base scenario plus axes (cartesian product) into
-an ordered scenario list; :func:`run_sweep` executes them through the
-engine's :class:`~repro.engine.runner.ParallelRunner`, appending one JSONL
-record per *completed* scenario as it finishes — a killed sweep leaves a
+an ordered scenario list; :func:`run_sweep` executes them in order (or, with
+``workers=N``, across N worker processes), appending one JSONL record per
+*completed* scenario as it finishes — a killed sweep leaves a
 usable partial file, and re-running with ``resume=True`` skips every
 scenario whose :meth:`~repro.experiments.scenario.Scenario.key` already has
 an ``ok`` record.
@@ -52,12 +52,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..engine import ParallelRunner
 from ..engine.cache import SolutionCache
 from .plan import Plan, PlanResult
 from .scenario import Scenario, scenario_schema_version
 
-__all__ = ["SweepGrid", "ScenarioResult", "run_scenarios", "run_sweep",
+__all__ = ["SweepGrid", "ScenarioResult", "run_sweep",
            "load_results", "completed_keys", "completed_records", "write_csv",
            "sweep_stats", "metrics_from_plan", "result_from_plan"]
 
@@ -276,14 +275,14 @@ def result_from_plan(scenario: Scenario, result: PlanResult,
     )
 
 
-def _execute(scenario: Scenario, through: str, cache: Optional[SolutionCache],
-             n_jobs: int) -> ScenarioResult:
+def _execute(scenario: Scenario, through: str,
+             cache: Optional[SolutionCache] = None) -> ScenarioResult:
     key = ""
     try:
         # Key computation resolves the topology, so a bad spec surfaces here
         # as an error record (with an empty key) instead of killing the sweep.
         key = scenario.key()
-        plan = Plan(scenario, cache=cache, n_jobs=n_jobs)
+        plan = Plan(scenario, cache=cache)
         result = plan.run(through=through)
     except Exception as exc:  # noqa: BLE001 - captured per scenario
         return ScenarioResult(scenario=scenario, key=key, status="error",
@@ -294,24 +293,14 @@ def _execute(scenario: Scenario, through: str, cache: Optional[SolutionCache],
 # --------------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------------- #
-def run_scenarios(scenarios: Sequence[Scenario], jobs: int = 1,
-                  through: str = "simulate",
-                  cache: Optional[SolutionCache] = None,
-                  n_jobs: int = 1) -> List[ScenarioResult]:
-    """Run scenarios (optionally concurrently), capturing per-scenario errors.
-
-    Results keep input order; parallel output is identical to serial because
-    every scenario is independent and the LP/stage caches are shared.
-    """
-    runner = ParallelRunner(jobs=jobs)
-    return runner.map(lambda s: _execute(s, through, cache, n_jobs), list(scenarios))
-
-
 def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
-              jobs: int = 1, resume: bool = False, through: str = "simulate",
+              resume: bool = False, through: str = "simulate",
               cache: Optional[SolutionCache] = None,
-              n_jobs: int = 1, workers: int = 1) -> List[ScenarioResult]:
+              workers: int = 1) -> List[ScenarioResult]:
     """Execute a sweep with streaming JSONL output and optional resume.
+
+    Results keep input order and capture per-scenario errors as ``error``
+    results instead of raising.
 
     Parameters
     ----------
@@ -322,31 +311,29 @@ def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
         If True and ``out_path`` has records, scenarios whose key already has
         an ``ok`` record are *not* re-executed; their stored record is
         returned (``resumed=True``) in place.  Errored records are retried.
-    jobs:
-        Scenarios executed concurrently (threads share the caches).
     workers:
         Worker *processes*.  ``workers > 1`` hands the whole sweep to the
         work-stealing multiprocess executor
         (:func:`~repro.experiments.executor.run_sweep_workers`): records
         stream to per-worker shards under ``<out_path>.shards/`` and
-        ``out_path`` becomes their deterministic hash-sorted merge; ``jobs``
-        and ``cache`` are then ignored (each worker is its own process with
-        its own caches, bridged by the shared artifact plane).  The default
-        of 1 keeps the historical in-process thread path untouched.
+        ``out_path`` becomes their deterministic hash-sorted merge; ``cache``
+        is then ignored (each worker is its own process with its own caches,
+        bridged by the shared artifact plane).  Results are rebuilt from the
+        records, so they carry no ``plan`` and no ``exception``.  The default
+        of 1 runs every scenario in this process, in order.
     """
     if workers > 1:
         from .executor import run_sweep_workers
 
         results, _stats = run_sweep_workers(
             scenarios, out_path=out_path, workers=workers, resume=resume,
-            through=through, n_jobs=n_jobs)
+            through=through)
         return results
     scenarios = list(scenarios)
     done: Dict[str, Dict[str, object]] = {}
     if resume and out_path and os.path.exists(out_path):
         done = completed_records([out_path], through=through)
 
-    lock = threading.Lock()
     out_fh = open(out_path, "a") if out_path else None
     if out_fh is not None and out_fh.tell() > 0:
         # A killed sweep can leave a torn final line with no newline; start a
@@ -355,15 +342,16 @@ def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
             check.seek(-1, os.SEEK_END)
             if check.read(1) != b"\n":
                 out_fh.write("\n")
+    results: List[ScenarioResult] = []
     try:
-        def run_one(scenario: Scenario) -> ScenarioResult:
+        for scenario in scenarios:
             try:
                 key = scenario.key()
             except Exception:  # noqa: BLE001 - bad spec: let _execute record it
                 key = ""
             record = done.get(key) if key else None
             if record is not None:
-                return ScenarioResult(
+                results.append(ScenarioResult(
                     scenario=scenario, key=key, status="ok",
                     metrics=dict(record.get("metrics", {})),
                     timings=dict(record.get("timings", {})),
@@ -371,16 +359,14 @@ def run_sweep(scenarios: Sequence[Scenario], out_path: Optional[str] = None,
                     stage_cache=dict(record.get("stage_cache", {})),
                     through=str(record.get("through", "simulate")),
                     resumed=True,
-                )
-            result = _execute(scenario, through, cache, n_jobs)
+                ))
+                continue
+            result = _execute(scenario, through, cache)
             if out_fh is not None:
-                line = json.dumps(result.to_record(), sort_keys=True)
-                with lock:
-                    out_fh.write(line + "\n")
-                    out_fh.flush()
-            return result
-
-        return ParallelRunner(jobs=jobs).map(run_one, scenarios)
+                out_fh.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
+                out_fh.flush()
+            results.append(result)
+        return results
     finally:
         if out_fh is not None:
             out_fh.close()
@@ -452,7 +438,7 @@ def completed_records(paths: Sequence[str], through: str = "simulate",
                       ok_only: bool = True) -> Dict[str, Dict[str, object]]:
     """Resumable records across one or more JSONL files, deduped by key.
 
-    The single source of resume truth for both the thread path and the
+    The single source of resume truth for both the serial path and the
     multiprocess executor: a scenario whose record appears in two shards (or
     in a shard *and* the merged output) resolves to one entry, so resume
     never re-runs it and a merge never duplicates it.

@@ -7,8 +7,7 @@ and straggler hosts; :mod:`.runner` injects them as events into the fluid
 engine's queue, rerouting in-flight flows deterministically around down
 links (:mod:`.reroute`, certified deadlock-free through LASH / DF-SSSP)
 and re-filling incrementally over the survivors; :mod:`.adversarial`
-searches worst-case k-link failure sets against a schedule (optionally in
-parallel via ``jobs``).  :mod:`.context` hoists per-flow arrays, the
+searches worst-case k-link failure sets against a schedule.  :mod:`.context` hoists per-flow arrays, the
 compiled delta template (:mod:`repro.perf.delta`) and the shared
 reroute/certification caches so sweeps and searches pay the setup once.
 

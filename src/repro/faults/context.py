@@ -49,9 +49,8 @@ class RerouteCache:
     Keys are canonical: the down set arrives as the epoch fabric's sorted
     ``down_links`` tuple, so repeated epochs, flapping timelines and every
     candidate of an adversarial search that lands on the same fabric state
-    hit the same entries.  Thread-safe (the adversarial search shares one
-    cache across ``--jobs`` workers); lookups report hit/miss so callers
-    can credit the engine's ``route_cache_*`` counters per run.
+    hit the same entries.  Lookups hold a lock and report hit/miss so
+    callers can credit the engine's ``route_cache_*`` counters per run.
     """
 
     def __init__(self, topology) -> None:

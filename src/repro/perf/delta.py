@@ -350,7 +350,7 @@ class DeltaProgram:
         shared — a regrow *replaces* those arrays rather than mutating
         them, so sharing is safe even if the clone later rebuilds.  The
         mutable state (``ent_res``, ``res_cap``, CSR view, scratch arenas)
-        is copied, so clones evolve independently across threads.
+        is copied, so clones evolve independently.
         """
         new = object.__new__(DeltaProgram)
         new.__dict__.update(self.__dict__)

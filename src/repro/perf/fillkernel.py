@@ -20,8 +20,8 @@ interchangeable kernels behind
 Kernel selection is environment-driven (``REPRO_KERNEL=auto|numba|numpy``,
 see :func:`fill_kernel_name`) with automatic numpy fallback when numba is
 absent; :func:`run_fill` is the dispatch point the simulator engine calls.
-All kernels agree with each other and with the scalar
-:mod:`repro.simulator.reference` oracle to 1e-9 (``tests/test_kernels.py``).
+All kernels agree with each other and with the scalar oracle in
+``tests/oracles/reference.py`` to 1e-9 (``tests/test_kernels.py``).
 """
 
 from __future__ import annotations

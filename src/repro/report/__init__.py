@@ -4,7 +4,7 @@ This subpackage owns the paper's deliverables.  A registry of figure/table
 specs (:mod:`~repro.report.specs`) declares each artifact of
 conf_hpdc_BasuZFPKK24 as a scenario grid plus an aggregation plus a renderer;
 :func:`generate_report` executes any subset through the existing
-:func:`repro.experiments.run_sweep` pipeline (stage caching, ``--jobs``,
+:func:`repro.experiments.run_sweep` pipeline (stage caching, ``--workers``,
 ``--resume`` included), renders figures with a guaranteed CSV/Markdown
 fallback (:mod:`~repro.report.render`), and stamps the result with git SHA,
 versions, per-artifact wall-clock and cache counters
@@ -78,8 +78,6 @@ class ReportSummary:
 def generate_report(out_dir: str = "report",
                     only: Optional[Sequence[str]] = None,
                     fast: bool = False,
-                    jobs: int = 1,
-                    n_jobs: int = 1,
                     resume: bool = False,
                     workers: int = 1) -> ReportSummary:
     """Run artifact specs and render the provenance-stamped report.
@@ -94,15 +92,13 @@ def generate_report(out_dir: str = "report",
         full registry in registry order.
     fast:
         Use the reduced CI grids.
-    jobs / n_jobs:
-        Scenarios executed concurrently / child-LP workers per scenario.
     resume:
         Reuse completed records from a previous run's ``data/*.jsonl``
         (per-scenario resume, same semantics as ``repro sweep --resume``).
         Without it each spec's JSONL is started fresh.
     workers:
         Work-stealing worker processes per artifact sweep (``repro sweep
-        --workers`` semantics); 1 keeps the in-process path.
+        --workers`` semantics); 1 runs every scenario in this process.
     """
     from ..engine import get_engine
 
@@ -116,8 +112,8 @@ def generate_report(out_dir: str = "report",
         if not resume and os.path.exists(jsonl):
             os.remove(jsonl)
         start = time.perf_counter()
-        results = run_sweep(spec.scenarios(fast), out_path=jsonl, jobs=jobs,
-                            resume=resume, through=spec.through, n_jobs=n_jobs,
+        results = run_sweep(spec.scenarios(fast), out_path=jsonl,
+                            resume=resume, through=spec.through,
                             workers=workers)
         spec_result = spec.aggregate(results, fast=fast)
         spec_result.seconds = time.perf_counter() - start

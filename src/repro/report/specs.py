@@ -2,7 +2,7 @@
 
 Each :class:`ArtifactSpec` declares one artifact of conf_hpdc_BasuZFPKK24
 (fig3, fig4, fig7, fig10, table1) as *data*: a scenario grid (executed through
-:func:`repro.experiments.run_sweep`, so stage caching, ``--jobs`` and
+:func:`repro.experiments.run_sweep`, so stage caching, ``--workers`` and
 ``--resume`` come for free) plus an aggregation from sweep records to
 :class:`~repro.report.aggregate.Table`/:class:`~repro.report.aggregate.Plot`
 artifacts.
@@ -214,7 +214,7 @@ class ArtifactSpec:
 
 def run_panel(spec: ArtifactSpec, panel: PanelSpec,
               buffers: Optional[Sequence[float]] = None,
-              timer=None, cache=None, n_jobs: int = 1) -> PanelData:
+              timer=None, cache=None) -> PanelData:
     """Execute one panel through the staged Plan pipeline (benchmark path).
 
     ``timer`` (if given) is called as ``timer(fn)`` exactly once, wrapping the
@@ -229,7 +229,7 @@ def run_panel(spec: ArtifactSpec, panel: PanelSpec,
     results: Dict[str, ScenarioResult] = {}
     for series in panel.series:
         scenario = spec.scenario(panel, series, buffers)
-        plan = Plan(scenario, cache=cache, n_jobs=n_jobs)
+        plan = Plan(scenario, cache=cache)
         if timer is not None and series.label == spec.headline:
             timer(lambda: plan.run(through=spec.timed_through))
         results[series.label] = result_from_plan(

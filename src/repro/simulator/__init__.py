@@ -5,8 +5,8 @@ All regimes share one vectorized, event-driven fluid core
 one simulation loop); :mod:`.flowsim` and :mod:`.collective` are thin
 front-ends that lower their schedules to the engine's flow IR
 (:mod:`.collective` simulates each schedule once and rescales the result to
-every buffer size).  :mod:`.reference` keeps the scalar implementation as a
-differential-testing oracle.
+every buffer size).  The scalar implementation the engine replaced lives on
+as a differential-testing oracle in ``tests/oracles/reference.py``.
 """
 
 from .collective import (
@@ -51,7 +51,6 @@ from .fabric import (
     parse_link_set,
 )
 from .flowsim import FlowSimResult, FluidFlow, simulate_flows
-from .reference import simulate_flows_reference
 
 __all__ = [
     "CollectiveProfile",
@@ -91,5 +90,4 @@ __all__ = [
     "FlowSimResult",
     "FluidFlow",
     "simulate_flows",
-    "simulate_flows_reference",
 ]

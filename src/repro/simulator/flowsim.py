@@ -22,7 +22,7 @@ loaded link drains last -- which is exactly the effect Fig. 4/5 measures.
 Since the unified-engine refactor this module is a thin front-end: it lowers
 the flow set to the shared flow IR and runs it on the vectorized core in
 :mod:`repro.simulator.engine` (the original scalar implementation survives in
-:mod:`repro.simulator.reference` for differential testing).
+``tests/oracles/reference.py`` for differential testing).
 """
 
 from __future__ import annotations

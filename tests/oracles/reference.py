@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..constants import SIM_BYTES_EPS, SIM_EPS
-from ..topology.base import Edge, Topology
-from .engine import FluidFlow
-from .fabric import FabricModel
-from .flowsim import FlowSimResult
+from repro.constants import SIM_BYTES_EPS, SIM_EPS
+from repro.simulator.engine import FluidFlow
+from repro.simulator.fabric import FabricModel
+from repro.simulator.flowsim import FlowSimResult
+from repro.topology.base import Edge, Topology
 
 __all__ = ["simulate_flows_reference", "max_min_rates_reference"]
 

@@ -13,7 +13,6 @@ from repro.engine import (
     formulation_names,
     get_backend,
     get_engine,
-    run_parallel,
 )
 from repro.topology import generalized_kautz, hypercube
 
@@ -188,42 +187,33 @@ class TestRepeatedSweepUsesCache:
         assert all(r.error is None for r in second)
 
 
+def _square(x):
+    return x * x
+
+
+def _boom(x):
+    raise RuntimeError("nope")
+
+
 class TestParallelRunner:
-    def test_serial_and_thread_preserve_order(self):
+    """Process-pool workers must be picklable, hence the module-level helpers."""
+
+    def test_serial_and_process_preserve_order(self):
         items = list(range(20))
-
-        def square(x):
-            return x * x
-
-        assert ParallelRunner(jobs=1).map(square, items) == [x * x for x in items]
-        assert ParallelRunner(jobs=4, mode="thread").map(square, items) == \
-            [x * x for x in items]
-
-    def test_auto_mode_selection(self):
-        assert ParallelRunner(jobs=1).mode == "serial"
-        assert ParallelRunner(jobs=4).mode == "thread"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(jobs=2, mode="gpu")
-
-    def test_run_parallel_convenience(self):
-        assert run_parallel(len, ["a", "bb", "ccc"], jobs=2) == [1, 2, 3]
+        assert ParallelRunner(jobs=1).map(_square, items) == [x * x for x in items]
+        assert ParallelRunner(jobs=2).map(_square, items) == [x * x for x in items]
 
     def test_exceptions_propagate(self):
-        def boom(x):
-            raise RuntimeError("nope")
-
-        with pytest.raises(RuntimeError):
-            ParallelRunner(jobs=2, mode="thread").map(boom, [1, 2])
+        with pytest.raises(RuntimeError, match="nope"):
+            ParallelRunner(jobs=2).map(_boom, [1, 2])
 
 
 class TestParallelCompare:
     def test_parallel_compare_identical_to_serial(self):
         topo = hypercube(3)
         schemes = ["mcf-extp", "pmcf-disjoint", "ewsp", "sssp"]
-        serial = compare_schemes(topo, schemes, normalize=True, jobs=1)
-        parallel = compare_schemes(topo, schemes, normalize=True, jobs=3)
+        serial = compare_schemes(topo, schemes, normalize=True)
+        parallel = compare_schemes(topo, schemes, normalize=True, workers=3)
         assert [r.scheme for r in parallel] == [r.scheme for r in serial]
         for a, b in zip(serial, parallel):
             assert b.concurrent_flow == pytest.approx(a.concurrent_flow, rel=1e-9)

@@ -19,7 +19,6 @@ from repro.experiments import (
     configure_plan_cache,
     load_results,
     reset_plan_cache,
-    run_scenarios,
     run_sweep,
     scenario_schema_version,
     sweep_stats,
@@ -222,7 +221,7 @@ class TestRunSweep:
 
     def test_streaming_jsonl_records(self, tmp_path):
         out = str(tmp_path / "sweep.jsonl")
-        results = run_sweep(self.GRID.scenarios(), out_path=out, jobs=2,
+        results = run_sweep(self.GRID.scenarios(), out_path=out,
                             cache=_stage_cache())
         assert [r.status for r in results] == ["ok"] * 4
         records = load_results(out)
@@ -299,7 +298,7 @@ class TestRunSweep:
         assert stats["stage_misses"] == 16
 
     def test_write_csv(self, tmp_path):
-        results = run_scenarios(self.GRID.scenarios()[:2], cache=_stage_cache())
+        results = run_sweep(self.GRID.scenarios()[:2], cache=_stage_cache())
         path = tmp_path / "out.csv"
         write_csv(results, str(path))
         lines = path.read_text().strip().splitlines()

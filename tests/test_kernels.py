@@ -48,9 +48,10 @@ from repro.simulator import (
     ideal_fabric,
     reset_engine_counters,
     simulate_flows,
-    simulate_flows_reference,
 )
 from repro.topology import from_spec, hypercube, ring
+
+from oracles.reference import simulate_flows_reference
 
 
 @pytest.fixture(autouse=True)

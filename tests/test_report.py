@@ -52,7 +52,7 @@ class TestRegistry:
 
     def test_every_spec_renders_in_fast_mode(self, tmp_path):
         """The acceptance gate: the whole registry completes a --fast report."""
-        summary = generate_report(out_dir=str(tmp_path), fast=True, jobs=2)
+        summary = generate_report(out_dir=str(tmp_path), fast=True)
         assert summary.errors == []
         index = (tmp_path / "index.md").read_text()
         for spec_id, spec in REGISTRY.items():

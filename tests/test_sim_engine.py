@@ -29,10 +29,11 @@ from repro.simulator import (
     run_link_collective,
     run_routed_collective,
     simulate_flows,
-    simulate_flows_reference,
     simulate_program,
 )
 from repro.topology import from_spec, hypercube, ring
+
+from oracles.reference import simulate_flows_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 

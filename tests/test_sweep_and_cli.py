@@ -47,6 +47,17 @@ class TestCompareSchemes:
         with pytest.raises(Exception):
             compare_schemes(bipartite44, ["dor"], normalize=False, skip_failures=False)
 
+    def test_worker_failures_raise_the_recorded_message(self):
+        # Worker results are rebuilt from JSONL records and carry no
+        # exception object, so the recorded error message is raised instead.
+        topo = build_topology("bipartite:left=3,right=3")
+        recorded = compare_schemes(topo, ["dor"], normalize=False)[0].error
+        assert recorded
+        with pytest.raises(RuntimeError) as exc:
+            compare_schemes(topo, ["dor", "ewsp"], normalize=False,
+                            skip_failures=False, workers=2)
+        assert str(exc.value) == recorded
+
 
 class TestTopologySpecs:
     @pytest.mark.parametrize("spec,nodes", [
@@ -117,7 +128,7 @@ class TestCLI:
         args = ["compare", "hypercube:dim=3", "--schemes", "ewsp,sssp,pmcf-disjoint"]
         assert main(args) == 0
         serial_out = capsys.readouterr().out
-        assert main(args + ["--jobs", "3"]) == 0
+        assert main(args + ["--workers", "3"]) == 0
         parallel_out = capsys.readouterr().out
         assert parallel_out == serial_out
 
@@ -136,7 +147,7 @@ class TestSweepCLI:
     def test_sweep_writes_jsonl_and_csv(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.jsonl")
         csv_path = str(tmp_path / "sweep.csv")
-        assert main(self.ARGS + ["--out", out, "--csv", csv_path, "--jobs", "2"]) == 0
+        assert main(self.ARGS + ["--out", out, "--csv", csv_path, "--workers", "2"]) == 0
         captured = capsys.readouterr()
         assert "Sweep: 4 scenario(s)" in captured.out
         assert "lp-cache:" in captured.err and "solve" in captured.err
